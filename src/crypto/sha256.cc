@@ -288,7 +288,9 @@ bool Sha256HardwareAvailable() {
 
 Sha256::Sha256(CryptoBackend backend) {
   if (backend == CryptoBackend::kAuto) backend = ActiveCryptoBackend();
-  hw_ = backend == CryptoBackend::kHardware && Sha256HardwareAvailable();
+  // Every non-portable tier (AES-NI, VAES) implies a hardware-capable host;
+  // SHA-NI itself is probed separately.
+  hw_ = backend != CryptoBackend::kPortable && Sha256HardwareAvailable();
   Reset();
 }
 

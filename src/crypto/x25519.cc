@@ -6,143 +6,205 @@
 
 namespace sesemi::crypto {
 
-// Field arithmetic over GF(2^255 - 19) with 16 limbs of 16 bits each,
-// following the compact TweetNaCl formulation (public domain).
+// Field arithmetic over GF(p), p = 2^255 - 19, in radix 2^51: an element is
+// v[0] + v[1]*2^51 + v[2]*2^102 + v[3]*2^153 + v[4]*2^204. Limb bounds:
+//  - "tight": every limb < 2^51 + 2^13. FromBytes, Mul, Square and
+//    Mul121665 return tight elements.
+//  - Add/Sub of tight elements give limbs < 2^53.
+//  - Mul/Square/Mul121665 accept limbs < 2^54.
+// Column products go to unsigned __int128 accumulators, and the columns at
+// or above 2^255 fold back with 2^255 = 19 (mod p). Nothing here branches on
+// or indexes by secret data; the scalar is indexed by the loop counter only.
 namespace {
-using Gf = int64_t[16];
+using u128 = unsigned __int128;
 
-const Gf k121665 = {0xDB41, 1};
+struct Fe {
+  uint64_t v[5];
+};
 
-void Carry(Gf o) {
-  for (int i = 0; i < 16; ++i) {
-    o[i] += (1LL << 16);
-    int64_t c = o[i] >> 16;
-    o[(i + 1) * (i < 15)] += c - 1 + 37 * (c - 1) * (i == 15);
-    o[i] -= c << 16;
-  }
+constexpr uint64_t kMask51 = (uint64_t{1} << 51) - 1;
+
+u128 M(uint64_t a, uint64_t b) { return static_cast<u128>(a) * b; }
+
+uint64_t Load64(const uint8_t* p) {
+  uint64_t w = 0;
+  for (int i = 7; i >= 0; --i) w = (w << 8) | p[i];
+  return w;
 }
 
-// Constant-time conditional swap of p and q when b == 1.
-void Swap(Gf p, Gf q, int64_t b) {
-  int64_t c = ~(b - 1);
-  for (int i = 0; i < 16; ++i) {
-    int64_t t = c & (p[i] ^ q[i]);
-    p[i] ^= t;
-    q[i] ^= t;
-  }
+// Bit 255 of the u-coordinate is masked off (RFC 7748 §5). Non-canonical
+// values in [p, 2^255) need no special case: the arithmetic is mod p.
+Fe FromBytes(const uint8_t* s) {
+  return Fe{{Load64(s) & kMask51, (Load64(s + 6) >> 3) & kMask51,
+             (Load64(s + 12) >> 6) & kMask51, (Load64(s + 19) >> 1) & kMask51,
+             (Load64(s + 24) >> 12) & kMask51}};
 }
 
-void Pack(uint8_t* o, const Gf n) {
-  Gf t, m;
-  for (int i = 0; i < 16; ++i) t[i] = n[i];
-  Carry(t);
-  Carry(t);
-  Carry(t);
-  for (int j = 0; j < 2; ++j) {
-    m[0] = t[0] - 0xffed;
-    for (int i = 1; i < 15; ++i) {
-      m[i] = t[i] - 0xffff - ((m[i - 1] >> 16) & 1);
-      m[i - 1] &= 0xffff;
-    }
-    m[15] = t[15] - 0x7fff - ((m[14] >> 16) & 1);
-    int64_t b = (m[15] >> 16) & 1;
-    m[14] &= 0xffff;
-    Swap(t, m, 1 - b);
+// Carries column sums down to a tight element. Callers guarantee t[i] < 2^115
+// (each carry t[i] >> 51 < 2^64) and t[4] < 5 * 2^108, so the ×19 fold of
+// t[4] >> 51 is < 95 * 2^57 < 2^64 and its carry out of v[0] is < 2^13.
+Fe CarryWide(u128 t[5]) {
+  Fe r;
+  for (int i = 0; i < 4; ++i) {
+    t[i + 1] += t[i] >> 51;
+    r.v[i] = static_cast<uint64_t>(t[i]) & kMask51;
   }
-  for (int i = 0; i < 16; ++i) {
-    o[2 * i] = static_cast<uint8_t>(t[i] & 0xff);
-    o[2 * i + 1] = static_cast<uint8_t>(t[i] >> 8);
-  }
+  r.v[4] = static_cast<uint64_t>(t[4]) & kMask51;
+  r.v[0] += 19 * static_cast<uint64_t>(t[4] >> 51);
+  r.v[1] += r.v[0] >> 51;  // r.v[1] < 2^51 + 2^13
+  r.v[0] &= kMask51;
+  return r;
 }
 
-void Unpack(Gf o, const uint8_t* n) {
-  for (int i = 0; i < 16; ++i) {
-    o[i] = n[2 * i] + (static_cast<int64_t>(n[2 * i + 1]) << 8);
+// a, b tight: limbs < 2^52 + 2^14 < 2^53.
+Fe Add(const Fe& a, const Fe& b) {
+  Fe r;
+  for (int i = 0; i < 5; ++i) r.v[i] = a.v[i] + b.v[i];
+  return r;
+}
+
+// a, b tight: computes a + 2p - b. The limbs of 2p (2^52 - 38, 2^52 - 2, ...)
+// exceed every tight limb, so nothing underflows; result limbs < 2^53.
+Fe Sub(const Fe& a, const Fe& b) {
+  constexpr uint64_t k2p0 = (uint64_t{1} << 52) - 38;
+  constexpr uint64_t k2pi = (uint64_t{1} << 52) - 2;
+  Fe r;
+  r.v[0] = a.v[0] + k2p0 - b.v[0];
+  for (int i = 1; i < 5; ++i) r.v[i] = a.v[i] + k2pi - b.v[i];
+  return r;
+}
+
+// a, b limbs < 2^54: each product < 2^108 and 19*b < 2^59, so the widest
+// column (t[0], 1 + 4*19 = 77 products) is < 2^115 and t[4] (5 products)
+// is < 5 * 2^108. Returns a tight element.
+Fe Mul(const Fe& a, const Fe& b) {
+  const uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
+  const uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3], b4 = b.v[4];
+  const uint64_t b1_19 = 19 * b1, b2_19 = 19 * b2, b3_19 = 19 * b3, b4_19 = 19 * b4;
+  u128 t[5] = {
+      M(a0, b0) + M(a1, b4_19) + M(a2, b3_19) + M(a3, b2_19) + M(a4, b1_19),
+      M(a0, b1) + M(a1, b0) + M(a2, b4_19) + M(a3, b3_19) + M(a4, b2_19),
+      M(a0, b2) + M(a1, b1) + M(a2, b0) + M(a3, b4_19) + M(a4, b3_19),
+      M(a0, b3) + M(a1, b2) + M(a2, b1) + M(a3, b0) + M(a4, b4_19),
+      M(a0, b4) + M(a1, b3) + M(a2, b2) + M(a3, b1) + M(a4, b0)};
+  return CarryWide(t);
+}
+
+// a limbs < 2^54: the doubled and ×19/×38 factors stay < 2^60, and the
+// columns are bounded as in Mul (t[0] is 77 products, t[4] is 5).
+Fe Square(const Fe& a) {
+  const uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
+  const uint64_t d0 = 2 * a0, d1 = 2 * a1, d2 = 2 * a2, d3 = 2 * a3;
+  const uint64_t a3_19 = 19 * a3, a4_19 = 19 * a4;
+  u128 t[5] = {M(a0, a0) + M(d1, a4_19) + M(d2, a3_19),
+               M(d0, a1) + M(d2, a4_19) + M(a3, a3_19),
+               M(d0, a2) + M(a1, a1) + M(d3, a4_19),
+               M(d0, a3) + M(d1, a2) + M(a4, a4_19),
+               M(d0, a4) + M(d1, a3) + M(a2, a2)};
+  return CarryWide(t);
+}
+
+Fe SquareN(Fe a, int n) {
+  for (int i = 0; i < n; ++i) a = Square(a);
+  return a;
+}
+
+// a limbs < 2^54: products < 2^71. Returns a tight element.
+Fe Mul121665(const Fe& a) {
+  u128 t[5];
+  for (int i = 0; i < 5; ++i) t[i] = M(a.v[i], 121665);
+  return CarryWide(t);
+}
+
+// z^(p-2) = z^(2^255 - 21) by the usual addition chain (254 squarings,
+// 11 multiplications); z = 0 gives 0.
+Fe Invert(const Fe& z) {
+  const Fe z2 = Square(z);
+  const Fe z9 = Mul(SquareN(z2, 2), z);
+  const Fe z11 = Mul(z9, z2);
+  const Fe z_5_0 = Mul(Square(z11), z9);  // z^(2^5 - 1)
+  const Fe z_10_0 = Mul(SquareN(z_5_0, 5), z_5_0);
+  const Fe z_20_0 = Mul(SquareN(z_10_0, 10), z_10_0);
+  const Fe z_40_0 = Mul(SquareN(z_20_0, 20), z_20_0);
+  const Fe z_50_0 = Mul(SquareN(z_40_0, 10), z_10_0);
+  const Fe z_100_0 = Mul(SquareN(z_50_0, 50), z_50_0);
+  const Fe z_200_0 = Mul(SquareN(z_100_0, 100), z_100_0);
+  const Fe z_250_0 = Mul(SquareN(z_200_0, 50), z_50_0);
+  return Mul(SquareN(z_250_0, 5), z11);  // 2^255 - 2^5 + 11
+}
+
+// Propagates carries limb to limb; the carry out of v[4] (bit 255) comes back
+// as fold * carry: 19 reduces mod p, 0 drops it.
+void Carry(Fe& a, uint64_t fold) {
+  for (int i = 0; i < 4; ++i) {
+    a.v[i + 1] += a.v[i] >> 51;
+    a.v[i] &= kMask51;
   }
-  o[15] &= 0x7fff;
+  a.v[0] += fold * (a.v[4] >> 51);
+  a.v[4] &= kMask51;
 }
 
-void Add(Gf o, const Gf a, const Gf b) {
-  for (int i = 0; i < 16; ++i) o[i] = a[i] + b[i];
+// a tight. Two carry passes leave limbs < 2^51 (value < 2^255 < 2p); adding
+// 19 then tells whether the value is >= p, and subtracting p is adding 19
+// and dropping bit 255. The output is the canonical encoding.
+void ToBytes(uint8_t* out, Fe a) {
+  Carry(a, 19);
+  Carry(a, 19);
+  uint64_t q = (a.v[0] + 19) >> 51;
+  for (int i = 1; i < 5; ++i) q = (a.v[i] + q) >> 51;
+  a.v[0] += 19 * q;
+  Carry(a, 0);
+  const uint64_t w[4] = {a.v[0] | (a.v[1] << 51), (a.v[1] >> 13) | (a.v[2] << 38),
+                         (a.v[2] >> 26) | (a.v[3] << 25),
+                         (a.v[3] >> 39) | (a.v[4] << 12)};
+  for (int i = 0; i < 32; ++i) out[i] = static_cast<uint8_t>(w[i / 8] >> (8 * (i % 8)));
 }
 
-void Sub(Gf o, const Gf a, const Gf b) {
-  for (int i = 0; i < 16; ++i) o[i] = a[i] - b[i];
-}
-
-void Mul(Gf o, const Gf a, const Gf b) {
-  int64_t t[31];
-  for (auto& v : t) v = 0;
-  for (int i = 0; i < 16; ++i) {
-    for (int j = 0; j < 16; ++j) t[i + j] += a[i] * b[j];
+// Constant-time swap of a and b when bit == 1.
+void CSwap(Fe& a, Fe& b, uint64_t bit) {
+  const uint64_t mask = 0 - bit;
+  for (int i = 0; i < 5; ++i) {
+    const uint64_t x = mask & (a.v[i] ^ b.v[i]);
+    a.v[i] ^= x;
+    b.v[i] ^= x;
   }
-  for (int i = 0; i < 15; ++i) t[i] += 38 * t[i + 16];
-  for (int i = 0; i < 16; ++i) o[i] = t[i];
-  Carry(o);
-  Carry(o);
-}
-
-void Square(Gf o, const Gf a) { Mul(o, a, a); }
-
-void Invert(Gf o, const Gf in) {
-  Gf c;
-  for (int i = 0; i < 16; ++i) c[i] = in[i];
-  // Fermat inversion: exponent 2^255 - 21 (all ones except bits 2 and 4).
-  for (int a = 253; a >= 0; --a) {
-    Square(c, c);
-    if (a != 2 && a != 4) Mul(c, c, in);
-  }
-  for (int i = 0; i < 16; ++i) o[i] = c[i];
 }
 }  // namespace
 
 X25519Key X25519(const X25519Key& scalar, const X25519Key& point) {
-  uint8_t z[32];
-  std::memcpy(z, scalar.data(), 32);
+  uint8_t k[32];
+  std::memcpy(k, scalar.data(), 32);
   // RFC 7748 clamping.
-  z[0] &= 248;
-  z[31] = (z[31] & 127) | 64;
+  k[0] &= 248;
+  k[31] = (k[31] & 127) | 64;
 
-  Gf x;
-  Unpack(x, point.data());
-
-  Gf a, b, c, d, e, f;
-  for (int i = 0; i < 16; ++i) {
-    b[i] = x[i];
-    a[i] = c[i] = d[i] = 0;
+  // RFC 7748 §5 Montgomery ladder; the swap is deferred so each iteration
+  // swaps once, by (this bit XOR previous bit).
+  const Fe x1 = FromBytes(point.data());
+  Fe x2{{1}}, z2{}, x3 = x1, z3{{1}};
+  uint64_t swap = 0;
+  for (int t = 254; t >= 0; --t) {
+    const uint64_t bit = (k[t >> 3] >> (t & 7)) & 1;
+    swap ^= bit;
+    CSwap(x2, x3, swap);
+    CSwap(z2, z3, swap);
+    swap = bit;
+    // x2, z2, x3, z3 are tight here; sums and differences are < 2^53.
+    const Fe a = Add(x2, z2), b = Sub(x2, z2);
+    const Fe aa = Square(a), bb = Square(b);
+    const Fe e = Sub(aa, bb);
+    const Fe c = Add(x3, z3), d = Sub(x3, z3);
+    const Fe da = Mul(d, a), cb = Mul(c, b);
+    x3 = Square(Add(da, cb));
+    z3 = Mul(x1, Square(Sub(da, cb)));
+    x2 = Mul(aa, bb);
+    z2 = Mul(e, Add(aa, Mul121665(e)));
   }
-  a[0] = d[0] = 1;
+  CSwap(x2, x3, swap);
+  CSwap(z2, z3, swap);
 
-  for (int i = 254; i >= 0; --i) {
-    int64_t r = (z[i >> 3] >> (i & 7)) & 1;
-    Swap(a, b, r);
-    Swap(c, d, r);
-    Add(e, a, c);
-    Sub(a, a, c);
-    Add(c, b, d);
-    Sub(b, b, d);
-    Square(d, e);
-    Square(f, a);
-    Mul(a, c, a);
-    Mul(c, b, e);
-    Add(e, a, c);
-    Sub(a, a, c);
-    Square(b, a);
-    Sub(c, d, f);
-    Mul(a, c, k121665);
-    Add(a, a, d);
-    Mul(c, c, a);
-    Mul(a, d, f);
-    Mul(d, b, x);
-    Square(b, e);
-    Swap(a, b, r);
-    Swap(c, d, r);
-  }
-
-  Invert(c, c);
-  Mul(a, a, c);
   X25519Key out;
-  Pack(out.data(), a);
+  ToBytes(out.data(), Mul(x2, Invert(z2)));
   return out;
 }
 

@@ -34,7 +34,8 @@ class KeyServiceLink {
   /// paper's warm/hot paths rely on this staying at 1).
   int attestation_count() const { return attestation_count_; }
 
-  /// Drop the cached session (simulates KeyService restart / network reset).
+  /// Drop the cached session and close it on the server. Used on KeyService
+  /// restart / network reset, and by ~SemirtInstance when the enclave retires.
   void ResetSession();
 
  private:

@@ -134,7 +134,12 @@ SemirtInstance::SemirtInstance(sgx::SgxPlatform* platform, SemirtOptions options
   }
 }
 
-SemirtInstance::~SemirtInstance() { ClearExecutionContext(); }
+SemirtInstance::~SemirtInstance() {
+  ClearExecutionContext();
+  // Close this enclave's RA-TLS session so KeyService does not keep one per
+  // retired instance.
+  if (link_ != nullptr) link_->ResetSession();
+}
 
 Status SemirtInstance::Initialize() {
   if (options_.mode == RuntimeMode::kUntrusted) return Status::OK();

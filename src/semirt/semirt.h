@@ -120,7 +120,8 @@ class SemirtInstance {
  public:
   /// Launch the instance: creates the enclave (the expensive part of a cold
   /// start) and connects the KeyService link. `keyservice` may be null only
-  /// in kUntrusted mode.
+  /// in kUntrusted mode; otherwise it must outlive the instance, whose
+  /// destructor closes its KeyService session.
   static Result<std::unique_ptr<SemirtInstance>> Create(
       sgx::SgxPlatform* platform, const SemirtOptions& options,
       storage::ObjectStore* storage, keyservice::KeyServiceServer* keyservice);

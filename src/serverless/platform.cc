@@ -935,10 +935,22 @@ void ServerlessPlatform::MaybeReap() {
 int ServerlessPlatform::ReapShard(FunctionShard* shard, TimeMicros now) {
   std::lock_guard<std::mutex> lock(shard->mutex);
 
+  // Nothing to do unless some container is poisoned or has idled past
+  // keep_alive. Returning here keeps the freelist in place: stealing it when
+  // nothing can be reaped makes concurrent warm acquisitions cold-start.
+  const bool candidate = std::any_of(
+      shard->containers.begin(), shard->containers.end(), [&](const auto& c) {
+        return c->poisoned.load(std::memory_order_acquire) ||
+               now - c->last_used.load(std::memory_order_relaxed) >=
+                   config_.keep_alive;
+      });
+  if (!candidate) return 0;
+
   // Steal the whole freelist in one CAS; we then own the chain exclusively
   // (in-progress pops that loaded the old head fail their CAS on the bumped
   // tag). Warm acquisitions racing with the sweep see an empty list and may
-  // cold-start spuriously — harmless, and only within the sweep's window.
+  // cold-start spuriously; the check above confines that to sweeps that
+  // have a container to reap or retire.
   uint64_t head = shard->free_head.load(std::memory_order_acquire);
   for (;;) {
     const uint64_t want = PackHead(HeadTag(head) + 1, kNilSlot);

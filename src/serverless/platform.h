@@ -246,7 +246,8 @@ class ServerlessPlatform {
   /// SchedStats) into `registry` as a scrape-time collector under
   /// `sesemi_platform_*` / `sesemi_sched_*` names. The label (e.g.
   /// node="2") distinguishes platforms sharing one registry; deregistration
-  /// is automatic at destruction. See docs/ARCHITECTURE.md "Observability".
+  /// is automatic at destruction, so `registry` must outlive the platform.
+  /// See docs/ARCHITECTURE.md "Observability".
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        std::vector<std::pair<std::string, std::string>> labels = {});
 

@@ -141,16 +141,34 @@ TEST(Sha256Test, HardwarePortableParityStreaming) {
 }
 
 TEST(Sha256Test, BackendSelectionFollowsProcessDispatch) {
-  // kAuto must agree with the process-wide decision: hardware only when the
-  // crypto dispatch resolved to hardware AND the CPU has SHA-NI.
+  // kAuto must agree with the process-wide decision: hardware when the
+  // crypto dispatch resolved to any hardware tier (AES-NI or VAES) AND the
+  // CPU has SHA-NI.
   Sha256 h;
-  const bool expect_hw = ActiveCryptoBackend() == CryptoBackend::kHardware &&
+  const bool expect_hw = ActiveCryptoBackend() != CryptoBackend::kPortable &&
                          Sha256HardwareAvailable();
   EXPECT_EQ(h.hardware(), expect_hw);
-  // Pinning portable always sticks; pinning hardware sticks iff available.
+  // Pinning portable always sticks; pinning a hardware tier sticks iff
+  // SHA-NI is available.
   EXPECT_FALSE(Sha256(CryptoBackend::kPortable).hardware());
   EXPECT_EQ(Sha256(CryptoBackend::kHardware).hardware(),
             Sha256HardwareAvailable());
+  EXPECT_EQ(Sha256(CryptoBackend::kHardwareVaes).hardware(),
+            Sha256HardwareAvailable());
+}
+
+TEST(Sha256Test, AutoUsesShaNiWhenAvailable) {
+  // Regression: the VAES tier once turned SHA-NI off because only
+  // kHardware counted as hardware. Unless the process is pinned portable,
+  // auto must never resolve to the portable rounds on a SHA-NI host.
+  if (!Sha256HardwareAvailable()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions";
+  }
+  if (ActiveCryptoBackend() == CryptoBackend::kPortable) {
+    GTEST_SKIP() << "crypto dispatch pinned portable (SESEMI_FORCE_PORTABLE)";
+  }
+  EXPECT_TRUE(Sha256().hardware());
+  EXPECT_TRUE(Sha256(CryptoBackend::kAuto).hardware());
 }
 
 // ---------------------------------------------------------------- HMAC
@@ -892,6 +910,13 @@ X25519Key KeyFromHex(std::string_view hex) {
   return k;
 }
 
+X25519Key RandomKey(Rng& rng) {
+  Bytes b = rng.NextBytes(kX25519KeySize);
+  X25519Key k{};
+  std::copy(b.begin(), b.end(), k.begin());
+  return k;
+}
+
 TEST(X25519Test, Rfc7748Vector1) {
   auto scalar = KeyFromHex(
       "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
@@ -949,6 +974,68 @@ TEST(X25519Test, RejectsLowOrderPoint) {
   X25519Key zero{};
   auto r = X25519SharedSecret(kp.private_key, zero);
   EXPECT_FALSE(r.ok());
+}
+
+// RFC 7748 §5.2 iterated vector: k = u = 9, then repeatedly k' = X25519(k, u)
+// and u' = k.
+TEST(X25519Test, Rfc7748Iterated) {
+  X25519Key k{}, u{};
+  k[0] = 9;
+  u[0] = 9;
+  for (int round = 1; round <= 1000; ++round) {
+    const X25519Key next = X25519(k, u);
+    u = k;
+    k = next;
+    if (round == 1) {
+      EXPECT_EQ(HexEncode(ByteSpan(k.data(), k.size())),
+                "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079");
+    }
+  }
+  EXPECT_EQ(HexEncode(ByteSpan(k.data(), k.size())),
+            "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
+}
+
+// RFC 7748 §5: u-coordinates >= p are accepted and reduced mod p. Every
+// u < 19 has a second encoding u + p < 2^255.
+TEST(X25519Test, NonCanonicalUMatchesReduced) {
+  Rng rng(7748);
+  for (uint8_t u0 = 0; u0 < 19; ++u0) {
+    const X25519Key scalar = RandomKey(rng);
+    X25519Key u{};
+    u[0] = u0;
+    // p + u0 = 2^255 - 19 + u0: low byte 0xed + u0, then 0xff..., top 0x7f.
+    X25519Key u_plus_p;
+    u_plus_p.fill(0xff);
+    u_plus_p[0] = static_cast<uint8_t>(0xed + u0);
+    u_plus_p[31] = 0x7f;
+    EXPECT_EQ(X25519(scalar, u_plus_p), X25519(scalar, u)) << "u = " << int{u0};
+  }
+}
+
+// RFC 7748 §5: the most significant bit of the u-coordinate is masked.
+TEST(X25519Test, HighBitOfUIgnored) {
+  Rng rng(255);
+  for (int i = 0; i < 20; ++i) {
+    const X25519Key scalar = RandomKey(rng);
+    X25519Key high = RandomKey(rng);
+    X25519Key low = high;
+    high[31] |= 0x80;
+    low[31] &= 0x7f;
+    EXPECT_EQ(X25519(scalar, high), X25519(scalar, low));
+  }
+}
+
+TEST(X25519Test, SeededPairsAgree) {
+  Rng rng(25519);
+  for (int i = 0; i < 100; ++i) {
+    const X25519Key a = RandomKey(rng);
+    const X25519Key b = RandomKey(rng);
+    auto s1 = X25519SharedSecret(a, X25519Base(b));
+    auto s2 = X25519SharedSecret(b, X25519Base(a));
+    ASSERT_TRUE(s1.ok());
+    ASSERT_TRUE(s2.ok());
+    EXPECT_EQ(*s1, *s2) << "pair " << i;
+  }
 }
 
 // ---------------------------------------------------------------- Random / key

@@ -134,6 +134,48 @@ TEST_F(ServerlessTest, KeepAliveReapsIdleContainers) {
   EXPECT_TRUE(cold);
 }
 
+TEST_F(ServerlessTest, ReapedContainersCloseTheirKeyServiceSessions) {
+  // Each cold start attests one SeMIRT enclave to KeyService; retiring the
+  // container must close that session, or KeyService keeps one per retired
+  // instance. The baseline is the owner/user client's own channel.
+  DeployAndAuthorize("predict");
+  const size_t baseline = keyservice_->active_sessions();
+  constexpr int kColdStarts = 5;
+  for (int i = 0; i < kColdStarts; ++i) {
+    bool cold = false;
+    ASSERT_TRUE(InvokeOnce("predict", &cold).ok());
+    EXPECT_TRUE(cold);
+    EXPECT_EQ(keyservice_->active_sessions(), baseline + 1);
+    clock_.Advance(SecondsToMicros(181));
+    EXPECT_EQ(platform_->ReapIdleContainers(), 1);
+    EXPECT_EQ(keyservice_->active_sessions(), baseline);
+  }
+  EXPECT_EQ(platform_->stats().cold_starts, kColdStarts);
+}
+
+TEST_F(ServerlessTest, IdleSweepDoesNotColdStartWarmFunction) {
+  // A sweep with nothing past keep_alive must leave the warm freelist in
+  // place: a concurrent acquisition that finds it empty cold-starts a second
+  // container.
+  DeployAndAuthorize("predict");
+  ASSERT_TRUE(InvokeOnce("predict").ok());  // prewarm: one container
+  ASSERT_EQ(platform_->stats().cold_starts, 1);
+
+  std::atomic<bool> stop{false};
+  std::thread reaper([&] {
+    while (!stop.load(std::memory_order_relaxed)) platform_->ReapIdleContainers();
+  });
+  for (int i = 0; i < 200; ++i) {
+    bool cold = false;
+    ASSERT_TRUE(InvokeOnce("predict", &cold).ok());
+    EXPECT_FALSE(cold) << "invocation " << i;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reaper.join();
+  EXPECT_EQ(platform_->stats().cold_starts, 1);
+  EXPECT_EQ(platform_->ContainerCount("predict"), 1);
+}
+
 TEST_F(ServerlessTest, MemoryExhaustionSurfaces) {
   semirt::SemirtOptions options;
   DeployAndAuthorize("predict", options);
