@@ -1,5 +1,7 @@
 #include "common/cpuid.h"
 
+#include <cstdlib>
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
 #define SESEMI_CPUID_X86 1
@@ -76,6 +78,12 @@ CpuFeatures Probe() { return CpuFeatures{}; }
 const CpuFeatures& GetCpuFeatures() {
   static const CpuFeatures features = Probe();
   return features;
+}
+
+bool ForcePortable() {
+  const char* force = std::getenv("SESEMI_FORCE_PORTABLE");
+  return force != nullptr && force[0] != '\0' &&
+         !(force[0] == '0' && force[1] == '\0');
 }
 
 }  // namespace sesemi

@@ -47,4 +47,9 @@ struct CpuFeatures {
 // Non-x86 builds report all-false.
 const CpuFeatures& GetCpuFeatures();
 
+// True when SESEMI_FORCE_PORTABLE is set non-empty and not "0": the crypto
+// and int8 GEMM auto dispatchers then pin their portable tiers. The one
+// parse of that variable; callers cache their resolved tier.
+bool ForcePortable();
+
 }  // namespace sesemi

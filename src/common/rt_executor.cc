@@ -194,14 +194,20 @@ void RtExecutor::ApplyLaneScheduling(int lane) {
 #endif
 }
 
+// The count change and the clamp store are one step under busy_mutex_: a
+// 1 -> 0 edge cannot interleave with a 0 -> 1 edge and leave the clamp off
+// while a lane is busy, and stats() never sees busy_lanes == 0 while the
+// clamp is still installed.
 void RtExecutor::EnterBusy() {
-  const int prev = busy_lanes_.fetch_add(1, std::memory_order_acq_rel);
-  if (prev == 0 && bulk_helper_cap_ > 0) SetBulkHelperLimit(bulk_helper_cap_);
+  std::lock_guard<std::mutex> lock(busy_mutex_);
+  if (busy_lanes_++ == 0 && bulk_helper_cap_ > 0) {
+    SetBulkHelperLimit(bulk_helper_cap_);
+  }
 }
 
 void RtExecutor::LeaveBusy() {
-  const int prev = busy_lanes_.fetch_sub(1, std::memory_order_acq_rel);
-  if (prev == 1 && bulk_helper_cap_ > 0) SetBulkHelperLimit(0);
+  std::lock_guard<std::mutex> lock(busy_mutex_);
+  if (--busy_lanes_ == 0 && bulk_helper_cap_ > 0) SetBulkHelperLimit(0);
 }
 
 void RtExecutor::LaneLoop(int lane) {
@@ -258,7 +264,10 @@ void RtExecutor::LaneLoop(int lane) {
 RtExecutorStats RtExecutor::stats() const {
   RtExecutorStats s;
   s.lanes = static_cast<int>(threads_.size());
-  s.busy_lanes = busy_lanes_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(busy_mutex_);
+    s.busy_lanes = busy_lanes_;
+  }
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.executed = executed_.load(std::memory_order_relaxed);
   s.rejected_full = rejected_full_.load(std::memory_order_relaxed);

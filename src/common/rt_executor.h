@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <semaphore>
 #include <thread>
 #include <vector>
@@ -126,7 +127,8 @@ class RtExecutor final : public Executor {
   std::counting_semaphore<> ready_{0};
   std::atomic<bool> stop_{false};
 
-  std::atomic<int> busy_lanes_{0};
+  mutable std::mutex busy_mutex_;  ///< guards busy_lanes_ + the clamp store
+  int busy_lanes_ = 0;
   std::atomic<int> lanes_started_{0};
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> executed_{0};

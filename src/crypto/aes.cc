@@ -1,7 +1,6 @@
 #include "crypto/aes.h"
 
 #include <array>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/cpuid.h"
@@ -212,10 +211,7 @@ bool VaesCryptoAvailable() {
 
 CryptoBackend ActiveCryptoBackend() {
   static const CryptoBackend active = [] {
-    const char* force = std::getenv("SESEMI_FORCE_PORTABLE");
-    const bool forced =
-        force != nullptr && force[0] != '\0' && !(force[0] == '0' && force[1] == '\0');
-    if (forced || !HardwareCryptoAvailable()) return CryptoBackend::kPortable;
+    if (ForcePortable() || !HardwareCryptoAvailable()) return CryptoBackend::kPortable;
     if (VaesCryptoAvailable()) return CryptoBackend::kHardwareVaes;
     return CryptoBackend::kHardware;
   }();

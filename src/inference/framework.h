@@ -53,7 +53,8 @@ class ModelRuntime {
   virtual Result<std::vector<Bytes>> ExecuteBatch(const std::vector<ByteSpan>& inputs);
 };
 
-/// Factory for loaded models and runtimes; one implementation per framework.
+/// Factory for loaded models and runtimes. One compiled-model implementation
+/// serves both kinds; they differ only in weight packing (framework.cc).
 class InferenceFramework {
  public:
   virtual ~InferenceFramework() = default;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/cpuid.h"
@@ -943,10 +942,7 @@ bool GemmIsaAvailable(GemmIsa isa) {
 
 GemmIsa ActiveGemmIsa() {
   static const GemmIsa active = [] {
-    const char* force = std::getenv("SESEMI_FORCE_PORTABLE");
-    const bool forced = force != nullptr && force[0] != '\0' &&
-                        !(force[0] == '0' && force[1] == '\0');
-    if (forced) return GemmIsa::kPortable;
+    if (ForcePortable()) return GemmIsa::kPortable;
     if (HasAvx512Vnni()) return GemmIsa::kAvx512Vnni;
     if (HasAvx2Fma()) return GemmIsa::kAvx2;
     return GemmIsa::kPortable;
@@ -1022,33 +1018,6 @@ void GemmInt8Prepacked(const uint8_t* a, int lda, const float* a_scales,
             crow[j] = std::fma(
                 static_cast<float>(acc[r][j] - a_zp * w_colsums[n0 + j]),
                 a_s * w_scales[n0 + j], bias != nullptr ? bias[n0 + j] : 0.0f);
-          }
-        }
-      });
-}
-
-void GemmInt8PrepackedRequant(const uint8_t* a, int lda, const float* a_scales,
-                              const int32_t* a_zero_points,
-                              const int8_t* packed_b, const float* w_scales,
-                              const int32_t* w_colsums, const float* bias,
-                              const ActQuant& out, int8_t* c, int m, int n,
-                              int k, GemmIsa isa) {
-  const float inv_out = 1.0f / out.scale;
-  GemmInt8Driver(
-      a, lda, m, n, k, packed_b, isa,
-      [&](int32_t acc[][kNr], int m_base, int n0, int mr, int nr) {
-        for (int r = 0; r < mr; ++r) {
-          const int row = m_base + r;
-          const float a_s = a_scales[row];
-          const int32_t a_zp = a_zero_points[row];
-          int8_t* crow = c + static_cast<size_t>(row) * n + n0;
-          for (int j = 0; j < nr; ++j) {
-            const float v = std::fma(
-                static_cast<float>(acc[r][j] - a_zp * w_colsums[n0 + j]),
-                a_s * w_scales[n0 + j], bias != nullptr ? bias[n0 + j] : 0.0f);
-            const long q = std::lrintf(v * inv_out) + out.zero_point;
-            crow[j] =
-                static_cast<int8_t>(std::min<long>(127, std::max<long>(-128, q)));
           }
         }
       });

@@ -151,15 +151,6 @@ void GemmInt8Prepacked(const uint8_t* a, int lda, const float* a_scales,
                        const float* bias, float* c, int m, int n, int k,
                        GemmIsa isa = GemmIsa::kAuto);
 
-/// As GemmInt8Prepacked, but the epilogue saturating-requantizes to int8:
-/// q = clamp(round(v / out.scale) + out.zero_point, -128, 127).
-void GemmInt8PrepackedRequant(const uint8_t* a, int lda, const float* a_scales,
-                              const int32_t* a_zero_points,
-                              const int8_t* packed_b, const float* w_scales,
-                              const int32_t* w_colsums, const float* bias,
-                              const ActQuant& out, int8_t* c, int m, int n,
-                              int k, GemmIsa isa = GemmIsa::kAuto);
-
 /// Bytes of u8 im2col scratch Conv2dGemmInt8Prepacked wants (same row-tile
 /// policy as the fp32 path, rows padded to RoundUpK4).
 size_t Conv2dScratchBytesInt8(const TensorShape& in_shape, int kernel, int stride);

@@ -169,16 +169,27 @@ Status WriteChromeTraceJson(const TraceSnapshot& snapshot, const std::string& pa
 
 /// RAII span: opens at construction, records at destruction. When tracing
 /// is disabled both ends are a relaxed load + branch; no ids are minted, no
-/// clock is read, nothing is stored.
+/// clock is read (except by the stage form below), nothing is stored.
 ///
 /// Parentage: the one-argument form nests under the thread-current context
 /// (or roots a new trace); the two-argument form nests under an explicit
 /// context (how a dispatcher thread continues a trace carried across the
 /// scheduler queue on QueuedRequest::trace). While open, the span is the
 /// thread-current context; the previous context is restored on close.
+///
+/// Stage form, Span(name, &elapsed): a pipeline stage that a component also
+/// times for itself. The clock is read once at open and once at close even
+/// with tracing disabled, `*elapsed` receives end - start, and the recorded
+/// span carries exactly those two timestamps — the component's own timings
+/// and its trace cannot disagree.
 class Span {
  public:
   explicit Span(const char* name) : Span(name, Tracer::Current()) {}
+
+  Span(const char* name, TimeMicros* elapsed) : Span(name) {
+    elapsed_ = elapsed;
+    if (!armed_) start_ = Tracer::Now();
+  }
 
   Span(const char* name, TraceContext parent) {
     if (!Tracer::Enabled()) return;
@@ -196,6 +207,9 @@ class Span {
   Span& operator=(const Span&) = delete;
 
   ~Span() {
+    if (!armed_ && elapsed_ == nullptr) return;
+    const TimeMicros end = Tracer::Now();
+    if (elapsed_ != nullptr) *elapsed_ = end - start_;
     if (!armed_) return;
     SpanRecord record;
     record.trace_id = context_.trace_id;
@@ -203,7 +217,7 @@ class Span {
     record.parent_id = parent_.span_id;
     record.name = name_;
     record.start = start_;
-    record.end = Tracer::Now();
+    record.end = end;
     record.arg_name = arg_name_;
     record.arg = arg_;
     record.priority = priority_;
@@ -236,6 +250,7 @@ class Span {
   int64_t arg_ = 0;
   int32_t priority_ = -1;
   TimeMicros start_ = 0;
+  TimeMicros* elapsed_ = nullptr;
   TraceContext context_;
   TraceContext parent_;
   TraceContext saved_;

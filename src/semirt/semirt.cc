@@ -1,8 +1,8 @@
 #include "semirt/semirt.h"
 
 #include <bit>
-#include <chrono>
 #include <cmath>
+#include <optional>
 
 #include "common/faultpoint.h"
 #include "model/format.h"
@@ -11,21 +11,9 @@
 namespace sesemi::semirt {
 
 namespace {
-TimeMicros NowMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Record a just-finished pipeline stage of `duration` micros under the
-/// thread-current span (the open semirt.ecall / semirt.request). StageTimings
-/// marks use NowMicros (a different epoch than the tracer), so the span is
-/// reconstructed backwards from the tracer's own now.
-void EmitStage(const char* name, TimeMicros duration) {
-  if (!obs::Tracer::Enabled()) return;
-  const TimeMicros end = obs::Tracer::Now();
-  obs::Tracer::EmitSpan(obs::Tracer::Current(), name,
-                        end - (duration > 0 ? duration : 0), end);
+/// Cooperative deadline cut between stages (never mid-inference).
+Status CheckDeadline(const ExecDeadline* deadline, const char* stage) {
+  return deadline == nullptr ? Status::OK() : deadline->Check(stage);
 }
 
 /// §IV-D model-extraction mitigation: quantize the raw float32 output to
@@ -369,230 +357,89 @@ Status SemirtInstance::EnsureRuntime(
 Result<Bytes> SemirtInstance::HandleRequest(const InferenceRequest& request,
                                             StageTimings* timings,
                                             const ExecDeadline* deadline) {
-  if (request.model_id.empty() || request.encrypted_input.empty()) {
-    return Status::InvalidArgument("empty model id or input");
-  }
-  if (!options_.fixed_model_id.empty() &&
-      request.model_id != options_.fixed_model_id) {
-    return Status::PermissionDenied("enclave is fixed to model " +
-                                    options_.fixed_model_id);
-  }
-  if (deadline != nullptr && deadline->Expired()) {
-    return Status::DeadlineExceeded("deadline passed before execution");
-  }
-
-  StageTimings local;
-  StageTimings* t = timings != nullptr ? timings : &local;
-  const TimeMicros start = NowMicros();
-
-  obs::Span span(obs::spans::kRequest);
-  int slot = AcquireSlot();
-  Result<Bytes> result = options_.mode == RuntimeMode::kUntrusted
-                             ? HandleUntrusted(request, slot, t, deadline)
-                             : HandleTrusted(request, slot, t, deadline);
-  ReleaseSlot(slot);
-  t->total = NowMicros() - start;
+  const InferenceRequest* batch[] = {&request};
+  Result<Bytes> result = Status::Aborted("request dropped before execution");
+  RunPipeline(batch, &result, timings, deadline);
   return result;
 }
 
 std::vector<Result<Bytes>> SemirtInstance::HandleRequestBatch(
     const std::vector<const InferenceRequest*>& batch, StageTimings* timings,
     const ExecDeadline* deadline) {
-  std::vector<Result<Bytes>> results;
-  results.reserve(batch.size());
+  std::vector<Result<Bytes>> results(
+      batch.size(), Status::Aborted("request dropped before execution"));
   if (batch.empty()) return results;
-
-  // Baseline modes keep their per-request setup/teardown semantics; a batch
-  // of one gains nothing from the batched plumbing.
-  if (batch.size() == 1 || options_.mode != RuntimeMode::kSesemi ||
-      options_.sequential_mode) {
-    for (const InferenceRequest* request : batch) {
-      results.push_back(HandleRequest(*request, timings, deadline));
-    }
+  if (options_.mode == RuntimeMode::kSesemi && !options_.sequential_mode) {
+    RunPipeline(batch, results.data(), timings, deadline);
     return results;
   }
-
-  results.assign(batch.size(),
-                 Status::Aborted("request dropped before execution"));
-  const InferenceRequest& head = *batch[0];
-
-  StageTimings local;
-  StageTimings* t = timings != nullptr ? timings : &local;
-  const TimeMicros start = NowMicros();
-
-  auto fail_all = [&](const Status& status) {
-    for (auto& r : results) r = status;
-    t->total = NowMicros() - start;
-  };
-
-  if (head.model_id.empty() || head.user_id.empty()) {
-    fail_all(Status::InvalidArgument("empty model or user id"));
-    return results;
+  // Baseline modes and sequential isolation keep their per-request
+  // setup/teardown semantics.
+  for (size_t i = 0; i < batch.size(); ++i) {
+    results[i] = HandleRequest(*batch[i], timings, deadline);
   }
-  if (!options_.fixed_model_id.empty() &&
-      head.model_id != options_.fixed_model_id) {
-    fail_all(Status::PermissionDenied("enclave is fixed to model " +
-                                      options_.fixed_model_id));
-    return results;
-  }
-  if (deadline != nullptr && deadline->Expired()) {
-    fail_all(Status::DeadlineExceeded("deadline passed before execution"));
-    return results;
-  }
-
-  // Cooperative deadline cut between stages (never mid-inference).
-  auto deadline_cut = [&](const char* stage) -> bool {
-    if (deadline == nullptr) return false;
-    Status cut = deadline->Check(stage);
-    if (cut.ok()) return false;
-    fail_all(cut);
-    return true;
-  };
-
-  // One slot, one enclave entry for the whole batch — the other TCS slots
-  // stay free for concurrent (unbatched or other-session) traffic.
-  const int slot = AcquireSlot();
-  if (FaultInjector::AnyArmed()) {
-    Status fault = FaultInjector::Instance().Evaluate(faults::kEcallEnter);
-    if (!fault.ok()) {
-      ReleaseSlot(slot);
-      fail_all(fault);
-      return results;
-    }
-  }
-  {
-    obs::Span ecall(obs::spans::kEcall);
-    ecall.set_arg("batch_size", static_cast<int64_t>(batch.size()));
-    sgx::TcsGuard tcs = enclave_->EnterEcall();
-    bool key_fetched = false, model_loaded = false, runtime_inited = false;
-
-    TimeMicros mark = NowMicros();
-    auto keys = EnsureKeys(head.user_id, head.model_id, &key_fetched);
-    if (!keys.ok()) {
-      ReleaseSlot(slot);
-      fail_all(keys.status());
-      return results;
-    }
-    t->key_fetch = NowMicros() - mark;
-    EmitStage(obs::spans::kKeyFetch, t->key_fetch);
-    if (deadline_cut("key fetch")) {
-      ReleaseSlot(slot);
-      return results;
-    }
-    const Bytes& model_key = keys->first;
-    const Bytes& request_key = keys->second;
-
-    mark = NowMicros();
-    auto model = EnsureModel(head.model_id, model_key, &model_loaded);
-    if (!model.ok()) {
-      ReleaseSlot(slot);
-      fail_all(model.status());
-      return results;
-    }
-    t->model_load = NowMicros() - mark;
-    EmitStage(obs::spans::kModelLoad, t->model_load);
-    if (deadline_cut("model load")) {
-      ReleaseSlot(slot);
-      return results;
-    }
-
-    mark = NowMicros();
-    Status runtime_ok = EnsureRuntime(slot, head.model_id, *model, &runtime_inited);
-    if (!runtime_ok.ok()) {
-      ReleaseSlot(slot);
-      fail_all(runtime_ok);
-      return results;
-    }
-    t->runtime_init = NowMicros() - mark;
-    EmitStage(obs::spans::kRuntimeInit, t->runtime_init);
-    if (deadline_cut("runtime init")) {
-      ReleaseSlot(slot);
-      return results;
-    }
-
-    mark = NowMicros();
-    // One K_R cipher context for the whole batch: the AES key schedule +
-    // GHASH tables are built once here instead of once per decrypt/encrypt.
-    auto cipher = RequestCipher::Create(request_key);
-    if (!cipher.ok()) {
-      ReleaseSlot(slot);
-      fail_all(cipher.status());
-      return results;
-    }
-    // Decrypt per request; a bad ciphertext (or a mixed-in foreign request)
-    // drops only that entry from the execution batch.
-    TimeMicros stage_mark = NowMicros();
-    std::vector<Bytes> plain(batch.size());
-    std::vector<size_t> live;
-    live.reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const InferenceRequest& request = *batch[i];
-      if (request.model_id != head.model_id || request.user_id != head.user_id) {
-        results[i] =
-            Status::InvalidArgument("batch mixes models or users at index " +
-                                    std::to_string(i));
-        continue;
-      }
-      auto input = cipher->DecryptRequest(request.model_id, request.encrypted_input);
-      if (!input.ok()) {
-        results[i] = input.status();
-        continue;
-      }
-      plain[i] = std::move(*input);
-      live.push_back(i);
-    }
-    EmitStage(obs::spans::kDecrypt, NowMicros() - stage_mark);
-
-    if (!live.empty()) {
-      std::vector<ByteSpan> inputs;
-      inputs.reserve(live.size());
-      for (size_t i : live) inputs.push_back(plain[i]);
-      stage_mark = NowMicros();
-      auto outputs = [&]() -> Result<std::vector<Bytes>> {
-        std::unique_lock<std::mutex> lock(mutex_);
-        inference::ModelRuntime* runtime = contexts_[slot].runtime.get();
-        lock.unlock();
-        return runtime->ExecuteBatch(inputs);
-      }();
-      EmitStage(obs::spans::kInference, NowMicros() - stage_mark);
-      stage_mark = NowMicros();
-      if (!outputs.ok()) {
-        for (size_t i : live) results[i] = outputs.status();
-      } else {
-        for (size_t k = 0; k < live.size(); ++k) {
-          Bytes& output = (*outputs)[k];
-          RoundScores(&output, options_.round_scores_decimals);
-          results[live[k]] = cipher->EncryptResult(head.model_id, output);
-        }
-        EmitStage(obs::spans::kEncrypt, NowMicros() - stage_mark);
-      }
-    }
-    t->execute = NowMicros() - mark;
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    const int n = static_cast<int>(batch.size());
-    if (enclave_fresh_) {
-      t->kind = InvocationKind::kCold;
-      stats_.cold_invocations += n;
-      enclave_fresh_ = false;
-    } else if (key_fetched || model_loaded || runtime_inited) {
-      t->kind = InvocationKind::kWarm;
-      stats_.warm_invocations += n;
-    } else {
-      t->kind = InvocationKind::kHot;
-      stats_.hot_invocations += n;
-    }
-    stats_.requests += n;
-  }
-  ReleaseSlot(slot);
-  t->total = NowMicros() - start;
   return results;
 }
 
-Result<Bytes> SemirtInstance::HandleTrusted(const InferenceRequest& request,
-                                            int slot, StageTimings* timings,
-                                            const ExecDeadline* deadline) {
-  if (request.user_id.empty()) {
+void SemirtInstance::RunPipeline(std::span<const InferenceRequest* const> batch,
+                                 Result<Bytes>* results, StageTimings* timings,
+                                 const ExecDeadline* deadline) {
+  StageTimings local;
+  StageTimings* t = timings != nullptr ? timings : &local;
+  obs::Span span(obs::spans::kRequest, &t->total);
+  span.set_arg("batch_size", static_cast<int64_t>(batch.size()));
+
+  // Per-entry admission: a malformed request, or one whose user or model
+  // differs from the head's (the key cache holds one ⟨uid,Moid⟩ pair, so
+  // mixing would leak across sessions), fails alone.
+  const InferenceRequest& head = *batch[0];
+  std::vector<size_t> live;
+  live.reserve(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const InferenceRequest& request = *batch[i];
+    if (request.model_id.empty() || request.encrypted_input.empty()) {
+      results[i] = Status::InvalidArgument("empty model id or input");
+    } else if (request.model_id != head.model_id ||
+               request.user_id != head.user_id) {
+      results[i] = Status::InvalidArgument(
+          "batch mixes models or users at index " + std::to_string(i));
+    } else {
+      live.push_back(i);
+    }
+  }
+  if (live.empty()) return;
+
+  const Status status = [&]() -> Status {
+    if (!options_.fixed_model_id.empty() &&
+        head.model_id != options_.fixed_model_id) {
+      return Status::PermissionDenied("enclave is fixed to model " +
+                                      options_.fixed_model_id);
+    }
+    if (deadline != nullptr && deadline->Expired()) {
+      return Status::DeadlineExceeded("deadline passed before execution");
+    }
+    // One slot, one enclave entry for the whole batch — the other TCS slots
+    // stay free for concurrent (unbatched or other-session) traffic.
+    const int slot = AcquireSlot();
+    Status served =
+        options_.mode == RuntimeMode::kUntrusted
+            ? RunUntrusted(*batch[live.front()], slot, &results[live.front()],
+                           t, deadline)
+            : RunTrusted(batch, live, slot, results, t, deadline);
+    ReleaseSlot(slot);
+    return served;
+  }();
+  if (!status.ok()) {
+    for (size_t i : live) results[i] = status;
+  }
+}
+
+Status SemirtInstance::RunTrusted(std::span<const InferenceRequest* const> batch,
+                                  std::span<const size_t> live, int slot,
+                                  Result<Bytes>* results, StageTimings* t,
+                                  const ExecDeadline* deadline) {
+  const InferenceRequest& head = *batch[live.front()];
+  if (head.user_id.empty()) {
     return Status::InvalidArgument("missing user id");
   }
   if (options_.mode == RuntimeMode::kNative && !enclave_fresh_) {
@@ -609,71 +456,80 @@ Result<Bytes> SemirtInstance::HandleTrusted(const InferenceRequest& request,
   SESEMI_FAULT_POINT(faults::kEcallEnter);
   obs::Span ecall(obs::spans::kEcall);
   sgx::TcsGuard tcs = enclave_->EnterEcall();
-
   bool key_fetched = false, model_loaded = false, runtime_inited = false;
 
-  TimeMicros mark = NowMicros();
-  SESEMI_ASSIGN_OR_RETURN(auto keys,
-                          EnsureKeys(request.user_id, request.model_id, &key_fetched));
-  timings->key_fetch = NowMicros() - mark;
-  EmitStage(obs::spans::kKeyFetch, timings->key_fetch);
-  if (deadline != nullptr) SESEMI_RETURN_IF_ERROR(deadline->Check("key fetch"));
-  const Bytes& model_key = keys.first;
-  const Bytes& request_key = keys.second;
-
-  mark = NowMicros();
-  SESEMI_ASSIGN_OR_RETURN(
-      std::shared_ptr<inference::LoadedModel> model,
-      EnsureModel(request.model_id, model_key, &model_loaded));
-  timings->model_load = NowMicros() - mark;
-  EmitStage(obs::spans::kModelLoad, timings->model_load);
-  if (deadline != nullptr) SESEMI_RETURN_IF_ERROR(deadline->Check("model load"));
-
-  mark = NowMicros();
-  SESEMI_RETURN_IF_ERROR(
-      EnsureRuntime(slot, request.model_id, model, &runtime_inited));
-  timings->runtime_init = NowMicros() - mark;
-  EmitStage(obs::spans::kRuntimeInit, timings->runtime_init);
-  if (deadline != nullptr) {
-    SESEMI_RETURN_IF_ERROR(deadline->Check("runtime init"));
+  std::pair<Bytes, Bytes> keys;  // (K_M, K_R)
+  {
+    obs::Span stage(obs::spans::kKeyFetch, &t->key_fetch);
+    SESEMI_ASSIGN_OR_RETURN(keys,
+                            EnsureKeys(head.user_id, head.model_id, &key_fetched));
   }
+  SESEMI_RETURN_IF_ERROR(CheckDeadline(deadline, "key fetch"));
+  std::shared_ptr<inference::LoadedModel> model;
+  {
+    obs::Span stage(obs::spans::kModelLoad, &t->model_load);
+    SESEMI_ASSIGN_OR_RETURN(model,
+                            EnsureModel(head.model_id, keys.first, &model_loaded));
+  }
+  SESEMI_RETURN_IF_ERROR(CheckDeadline(deadline, "model load"));
+  {
+    obs::Span stage(obs::spans::kRuntimeInit, &t->runtime_init);
+    SESEMI_RETURN_IF_ERROR(
+        EnsureRuntime(slot, head.model_id, model, &runtime_inited));
+  }
+  SESEMI_RETURN_IF_ERROR(CheckDeadline(deadline, "runtime init"));
 
-  mark = NowMicros();
-  TimeMicros stage_mark = mark;
-  SESEMI_ASSIGN_OR_RETURN(
-      Bytes input, DecryptRequestPayload(request_key, request.model_id,
-                                         request.encrypted_input));
-  EmitStage(obs::spans::kDecrypt, NowMicros() - stage_mark);
-  stage_mark = NowMicros();
-  Result<Bytes> output = [&]() -> Result<Bytes> {
-    std::unique_lock<std::mutex> lock(mutex_);
-    inference::ModelRuntime* runtime = contexts_[slot].runtime.get();
-    lock.unlock();
-    return runtime->Execute(input);
-  }();
-  if (!output.ok()) return output.status();
-  RoundScores(&output.value(), options_.round_scores_decimals);
-  EmitStage(obs::spans::kInference, NowMicros() - stage_mark);
-  stage_mark = NowMicros();
-  SESEMI_ASSIGN_OR_RETURN(
-      Bytes sealed, EncryptResultPayload(request_key, request.model_id, *output));
-  EmitStage(obs::spans::kEncrypt, NowMicros() - stage_mark);
-  timings->execute = NowMicros() - mark;
+  // StageTimings::execute = decrypt + inference + encrypt. One K_R cipher
+  // context serves every entry: the AES key schedule and GHASH tables are
+  // built once, not once per decrypt/encrypt.
+  TimeMicros decrypt_us = 0, inference_us = 0, encrypt_us = 0;
+  std::optional<RequestCipher> cipher;
+  std::vector<Bytes> plain;
+  std::vector<size_t> decrypted;
+  {
+    obs::Span stage(obs::spans::kDecrypt, &decrypt_us);
+    SESEMI_ASSIGN_OR_RETURN(cipher, RequestCipher::Create(keys.second));
+    for (size_t i : live) {
+      auto input = cipher->DecryptRequest(head.model_id, batch[i]->encrypted_input);
+      if (!input.ok()) {
+        results[i] = input.status();  // a bad ciphertext drops only its entry
+        continue;
+      }
+      plain.push_back(std::move(*input));
+      decrypted.push_back(i);
+    }
+  }
+  int served = 0;
+  if (!decrypted.empty()) {
+    Result<std::vector<Bytes>> outputs = Status::Aborted("not executed");
+    {
+      obs::Span stage(obs::spans::kInference, &inference_us);
+      // A batch of one runs ModelRuntime::Execute (ExecuteBatch delegates);
+      // larger batches take the multi-row GEMM path.
+      outputs = SlotRuntime(slot)->ExecuteBatch(
+          std::vector<ByteSpan>(plain.begin(), plain.end()));
+      if (outputs.ok()) {
+        for (Bytes& output : *outputs) {
+          RoundScores(&output, options_.round_scores_decimals);
+        }
+      }
+    }
+    if (!outputs.ok()) {
+      for (size_t i : decrypted) results[i] = outputs.status();
+    } else {
+      obs::Span stage(obs::spans::kEncrypt, &encrypt_us);
+      for (size_t k = 0; k < decrypted.size(); ++k) {
+        Result<Bytes>& result = results[decrypted[k]];
+        result = cipher->EncryptResult(head.model_id, (*outputs)[k]);
+        served += result.ok() ? 1 : 0;
+      }
+    }
+  }
+  t->execute = decrypt_us + inference_us + encrypt_us;
+  if (served == 0) return Status::OK();  // every entry failed on its own
 
   std::lock_guard<std::mutex> lock(mutex_);
-  if (enclave_fresh_) {
-    timings->kind = InvocationKind::kCold;
-    stats_.cold_invocations++;
-    enclave_fresh_ = false;
-  } else if (key_fetched || model_loaded || runtime_inited) {
-    timings->kind = InvocationKind::kWarm;
-    stats_.warm_invocations++;
-  } else {
-    timings->kind = InvocationKind::kHot;
-    stats_.hot_invocations++;
-  }
-  stats_.requests++;
-
+  t->kind = ClassifyLocked(key_fetched || model_loaded || runtime_inited, served);
   if (options_.sequential_mode) {
     // Strong isolation (§V, Table II): return the enclave to a state holding
     // only the loaded model — drop runtimes and cached keys.
@@ -682,76 +538,77 @@ Result<Bytes> SemirtInstance::HandleTrusted(const InferenceRequest& request,
     cached_model_key_.clear();
     cached_request_key_.clear();
   }
-  return sealed;
+  return Status::OK();
 }
 
-Result<Bytes> SemirtInstance::HandleUntrusted(const InferenceRequest& request,
-                                              int slot, StageTimings* timings,
-                                              const ExecDeadline* deadline) {
+Status SemirtInstance::RunUntrusted(const InferenceRequest& request, int slot,
+                                    Result<Bytes>* result, StageTimings* t,
+                                    const ExecDeadline* deadline) {
   bool model_loaded = false, runtime_inited = false;
-
-  // Plaintext model path (no keys, no attestation).
-  TimeMicros mark = NowMicros();
   std::shared_ptr<inference::LoadedModel> model;
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (loaded_model_ != nullptr && loaded_model_id_ == request.model_id &&
-        options_.reuse_model) {
-      model = loaded_model_;
+    // Plaintext model path (no keys, no attestation).
+    obs::Span stage(obs::spans::kModelLoad, &t->model_load);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (loaded_model_ != nullptr && loaded_model_id_ == request.model_id &&
+          options_.reuse_model) {
+        model = loaded_model_;
+      }
+    }
+    if (model == nullptr) {
+      SESEMI_ASSIGN_OR_RETURN(Bytes plain,
+                              storage_->Get(PlainModelObjectKey(request.model_id)));
+      SESEMI_ASSIGN_OR_RETURN(model, framework_->LoadModel(plain));
+      uint64_t bytes = model->memory_bytes();
+      SESEMI_RETURN_IF_ERROR(ChargeHeap(bytes));
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (loaded_model_ != nullptr) FreeHeap(model_charged_bytes_);
+      loaded_model_ = model;
+      loaded_model_id_ = request.model_id;
+      model_charged_bytes_ = bytes;
+      stats_.model_loads++;
+      model_loaded = true;
     }
   }
-  if (model == nullptr) {
-    SESEMI_ASSIGN_OR_RETURN(Bytes plain,
-                            storage_->Get(PlainModelObjectKey(request.model_id)));
-    SESEMI_ASSIGN_OR_RETURN(model, framework_->LoadModel(plain));
-    uint64_t bytes = model->memory_bytes();
-    SESEMI_RETURN_IF_ERROR(ChargeHeap(bytes));
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (loaded_model_ != nullptr) FreeHeap(model_charged_bytes_);
-    loaded_model_ = model;
-    loaded_model_id_ = request.model_id;
-    model_charged_bytes_ = bytes;
-    stats_.model_loads++;
-    model_loaded = true;
+  SESEMI_RETURN_IF_ERROR(CheckDeadline(deadline, "model load"));
+  {
+    obs::Span stage(obs::spans::kRuntimeInit, &t->runtime_init);
+    SESEMI_RETURN_IF_ERROR(
+        EnsureRuntime(slot, request.model_id, model, &runtime_inited));
   }
-  timings->model_load = NowMicros() - mark;
-  EmitStage(obs::spans::kModelLoad, timings->model_load);
-  if (deadline != nullptr) SESEMI_RETURN_IF_ERROR(deadline->Check("model load"));
-
-  mark = NowMicros();
-  SESEMI_RETURN_IF_ERROR(
-      EnsureRuntime(slot, request.model_id, model, &runtime_inited));
-  timings->runtime_init = NowMicros() - mark;
-  EmitStage(obs::spans::kRuntimeInit, timings->runtime_init);
-  if (deadline != nullptr) {
-    SESEMI_RETURN_IF_ERROR(deadline->Check("runtime init"));
+  SESEMI_RETURN_IF_ERROR(CheckDeadline(deadline, "runtime init"));
+  {
+    obs::Span stage(obs::spans::kInference, &t->execute);
+    // The input is plaintext in this mode.
+    SESEMI_ASSIGN_OR_RETURN(*result,
+                            SlotRuntime(slot)->Execute(request.encrypted_input));
   }
-
-  mark = NowMicros();
-  Result<Bytes> output = [&]() -> Result<Bytes> {
-    std::unique_lock<std::mutex> lock(mutex_);
-    inference::ModelRuntime* runtime = contexts_[slot].runtime.get();
-    lock.unlock();
-    return runtime->Execute(request.encrypted_input);  // plaintext in this mode
-  }();
-  if (!output.ok()) return output.status();
-  timings->execute = NowMicros() - mark;
-  EmitStage(obs::spans::kInference, timings->execute);
 
   std::lock_guard<std::mutex> lock(mutex_);
+  t->kind = ClassifyLocked(model_loaded || runtime_inited, 1);
+  return Status::OK();
+}
+
+InvocationKind SemirtInstance::ClassifyLocked(bool state_loaded, int n) {
+  InvocationKind kind = InvocationKind::kHot;
   if (enclave_fresh_) {
-    timings->kind = InvocationKind::kCold;
-    stats_.cold_invocations++;
+    kind = InvocationKind::kCold;
+    stats_.cold_invocations += n;
     enclave_fresh_ = false;
-  } else if (model_loaded || runtime_inited) {
-    timings->kind = InvocationKind::kWarm;
-    stats_.warm_invocations++;
+  } else if (state_loaded) {
+    kind = InvocationKind::kWarm;
+    stats_.warm_invocations += n;
   } else {
-    timings->kind = InvocationKind::kHot;
-    stats_.hot_invocations++;
+    stats_.hot_invocations += n;
   }
-  stats_.requests++;
-  return *output;
+  stats_.requests += n;
+  return kind;
+}
+
+inference::ModelRuntime* SemirtInstance::SlotRuntime(int slot) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return contexts_[slot].runtime.get();
 }
 
 void SemirtInstance::ClearExecutionContext() {

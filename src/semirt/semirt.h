@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/clock.h"
@@ -155,6 +156,7 @@ class SemirtInstance {
   /// sequential isolation builds) fall back to per-request HandleRequest,
   /// preserving their per-request setup/teardown semantics.
   /// `timings` receives the batch's stage timings (shared by its requests).
+  /// HandleRequest is this pipeline with a batch of one.
   std::vector<Result<Bytes>> HandleRequestBatch(
       const std::vector<const InferenceRequest*>& batch,
       StageTimings* timings = nullptr, const ExecDeadline* deadline = nullptr);
@@ -192,12 +194,32 @@ class SemirtInstance {
                  keyservice::KeyServiceServer* keyservice);
 
   Status Initialize();
-  Result<Bytes> HandleTrusted(const InferenceRequest& request, int slot,
-                              StageTimings* timings,
-                              const ExecDeadline* deadline);
-  Result<Bytes> HandleUntrusted(const InferenceRequest& request, int slot,
-                                StageTimings* timings,
-                                const ExecDeadline* deadline);
+
+  /// The one SeMIRT request pipeline (§IV, Figure 6): serve n >= 1
+  /// same-user, same-model requests through one TCS slot and one enclave
+  /// entry — key fetch → model load → runtime init → decrypt → exec →
+  /// encrypt — writing request i's outcome to results[i]. Each stage is an
+  /// obs::Span stage scope, so its StageTimings field and its span come from
+  /// the same two clock reads, and spans opened inside a stage (the RA-TLS
+  /// handshake) nest under it.
+  void RunPipeline(std::span<const InferenceRequest* const> batch,
+                   Result<Bytes>* results, StageTimings* timings,
+                   const ExecDeadline* deadline);
+  /// The enclave stages for the admitted entries `live` of `batch`. A
+  /// non-OK return fails every live entry; per-entry failures (decrypt,
+  /// encrypt) are written to `results` directly.
+  Status RunTrusted(std::span<const InferenceRequest* const> batch,
+                    std::span<const size_t> live, int slot, Result<Bytes>* results,
+                    StageTimings* timings, const ExecDeadline* deadline);
+  /// kUntrusted: plaintext model load, runtime init, exec (one request).
+  Status RunUntrusted(const InferenceRequest& request, int slot,
+                      Result<Bytes>* result, StageTimings* timings,
+                      const ExecDeadline* deadline);
+  /// Classify an invocation per Figure 4 (cold on a fresh enclave, warm when
+  /// it had to load keys, model, or runtime, else hot) and count `n`
+  /// requests of that kind. Requires mutex_.
+  InvocationKind ClassifyLocked(bool state_loaded, int n);
+  inference::ModelRuntime* SlotRuntime(int slot);
 
   /// Ensure (K_M, K_R) for (uid, Moid) are available, honoring the one-pair
   /// key cache. Sets *fetched if a KeyService round trip happened.

@@ -103,22 +103,27 @@ void ServerlessPlatform::DrainForShutdown() {
     std::vector<sched::QueuedRequest> expired;
     std::vector<sched::QueuedRequest> batch = scheduler_.PopBatch(&expired);
     if (batch.empty() && expired.empty()) break;
-    const TimeMicros now = clock_->Now();
-    auto resolve = [&](sched::QueuedRequest& qr, Status status) {
-      InvocationResult out;
-      out.response = std::move(status);
-      out.sched_seq = qr.seq;
-      out.queue_wait = now - qr.enqueue_time;
-      PayloadOf(qr)->promise.set_value(std::move(out));
-    };
-    for (sched::QueuedRequest& qr : expired) {
-      resolve(qr, Status::DeadlineExceeded("deadline passed before dispatch: " +
-                                           qr.function));
-    }
+    ResolveExpired(&expired);
     for (sched::QueuedRequest& qr : batch) {
-      resolve(qr, Status::Unavailable("shutting down"));
+      ResolveUnexecuted(&qr, Status::Unavailable("shutting down"));
       shutdown_drops_.fetch_add(1, std::memory_order_relaxed);
     }
+  }
+}
+
+void ServerlessPlatform::ResolveUnexecuted(sched::QueuedRequest* qr,
+                                           Status status) {
+  InvocationResult out;
+  out.response = std::move(status);
+  out.sched_seq = qr->seq;
+  out.queue_wait = clock_->Now() - qr->enqueue_time;
+  PayloadOf(*qr)->promise.set_value(std::move(out));
+}
+
+void ServerlessPlatform::ResolveExpired(std::vector<sched::QueuedRequest>* expired) {
+  for (sched::QueuedRequest& qr : *expired) {
+    ResolveUnexecuted(&qr, Status::DeadlineExceeded(
+                               "deadline passed before dispatch: " + qr.function));
   }
 }
 
@@ -631,14 +636,7 @@ void ServerlessPlatform::RtPumpOne() {
   std::vector<sched::QueuedRequest> expired;
   sched::QueuedRequest qr;
   const bool got = scheduler_.PopOne(rt_mask_, &qr, &expired);
-  for (sched::QueuedRequest& ex : expired) {
-    InvocationResult out;
-    out.response = Status::DeadlineExceeded("deadline passed before dispatch: " +
-                                            ex.function);
-    out.sched_seq = ex.seq;
-    out.queue_wait = clock_->Now() - ex.enqueue_time;
-    PayloadOf(ex)->promise.set_value(std::move(out));
-  }
+  ResolveExpired(&expired);
   if (!got) return;  // raced with another lane (or shed everything)
   DispatchOne(std::move(qr), RtExecutor::LaneIndex());
 }
@@ -667,16 +665,7 @@ void ServerlessPlatform::PumpScheduler() {
     // kAllClasses when the tier is disabled, making this the unmasked pop).
     std::vector<sched::QueuedRequest> batch =
         scheduler_.PopBatch(bulk_mask_, &expired);
-    // Deadline-shed work (DeadlineEdf) is never executed: its futures resolve
-    // with a typed DeadlineExceeded right here at dispatch time.
-    for (sched::QueuedRequest& qr : expired) {
-      InvocationResult out;
-      out.response = Status::DeadlineExceeded(
-          "deadline passed before dispatch: " + qr.function);
-      out.sched_seq = qr.seq;
-      out.queue_wait = clock_->Now() - qr.enqueue_time;
-      PayloadOf(qr)->promise.set_value(std::move(out));
-    }
+    ResolveExpired(&expired);
     if (batch.empty()) {
       // Exit only if the queue is truly drained: the depth re-check under
       // dispatch_mutex_ pairs with MaybeSpawnDispatcher's increment, so a
@@ -776,6 +765,10 @@ void ServerlessPlatform::DispatchOne(sched::QueuedRequest qr, int rt_lane) {
 }
 
 void ServerlessPlatform::DispatchBatch(std::vector<sched::QueuedRequest> batch) {
+  if (batch.size() == 1) {
+    DispatchOne(std::move(batch.front()), /*rt_lane=*/-1);
+    return;
+  }
   const TimeMicros now = clock_->Now();
 
   // Continue the head request's trace on this dispatcher thread. Coalesced
@@ -826,28 +819,6 @@ void ServerlessPlatform::DispatchBatch(std::vector<sched::QueuedRequest> batch) 
       exec_deadline = {earliest, clock_};
       deadline_ptr = &exec_deadline;
     }
-  }
-
-  if (batch.size() == 1) {
-    sched::QueuedRequest& qr = batch.front();
-    auto pending = PayloadOf(qr);
-    InvocationResult out;
-    out.sched_seq = qr.seq;
-    out.dispatch_seq = qr.dispatch_seq;
-    out.queue_wait = now - qr.enqueue_time;
-    out.exec_thread = std::hash<std::thread::id>{}(std::this_thread::get_id());
-    MaybeReap();
-    FunctionShard* shard = FindShard(qr.function);
-    const TimeMicros exec_start = clock_->Now();
-    if (shard == nullptr) {
-      out.response = Status::NotFound("no such function: " + qr.function);
-    } else {
-      out.response = ExecuteOne(shard, pending->request, deadline_ptr,
-                                &out.timings, &out.cold_start);
-    }
-    ObserveClassLatency(qr.priority, out.queue_wait, clock_->Now() - exec_start);
-    pending->promise.set_value(std::move(out));
-    return;
   }
 
   // Batched dispatch: one container slot, one enclave entry for the whole

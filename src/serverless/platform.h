@@ -377,6 +377,11 @@ class ServerlessPlatform {
   /// Resolve every request still queued in the scheduler with a typed
   /// shutdown error (deadline-shed entries keep DeadlineExceeded).
   void DrainForShutdown();
+  /// Resolve a request that will never execute with `status`.
+  void ResolveUnexecuted(sched::QueuedRequest* qr, Status status);
+  /// Deadline-shed work (DeadlineEdf) is never executed: its futures resolve
+  /// with a typed DeadlineExceeded at dispatch time.
+  void ResolveExpired(std::vector<sched::QueuedRequest>* expired);
 
   /// Dispatcher task body: pull batches from the scheduler until it drains.
   void PumpScheduler();

@@ -2,9 +2,11 @@
 // zero-allocation probes, trace-id propagation across batched (coalesced)
 // invocations and cluster reroutes, the end-to-end connected span tree for a
 // cluster-routed invocation (Snapshot AND exported Chrome trace JSON), the
-// metrics registry, and histogram bucket edge cases.
+// SeMIRT stage spans against StageTimings, the metrics registry, and
+// histogram bucket edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -23,6 +25,7 @@
 #include "model/zoo.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "semirt/semirt.h"
 #include "serverless/platform.h"
 #include "sgx/platform.h"
 #include "storage/object_store.h"
@@ -470,6 +473,121 @@ TEST_F(ObsLiveTest, CoalescedBatchCarriesEveryRequestTrace) {
   }
 }
 
+TEST_F(ObsLiveTest, CoalescedBatchRecordsOneRequestSpanInHeadTrace) {
+  serverless::PlatformConfig config;
+  config.max_inflight = 1;
+  serverless::ServerlessPlatform platform(config, &authority_, &storage_,
+                                          keyservice_.get());
+  serverless::FunctionSpec spec;
+  spec.name = "f";
+  spec.sched.max_batch = 4;
+  ASSERT_TRUE(platform.DeployFunction(spec).ok());
+  ASSERT_TRUE(platform.Invoke("f", BuildRequest()).ok());
+
+  obs::Tracer::Reset();
+  obs::Tracer::Enable();
+  platform.PauseDispatch();
+  std::vector<std::future<serverless::InvocationResult>> futures;
+  for (int i = 0; i < 4; ++i) {
+    obs::Span caller("obs.test.caller");
+    futures.push_back(platform.InvokeAsync("f", BuildRequest(i + 2)));
+  }
+  platform.ResumeDispatch();
+  int max_batch_seen = 0;
+  for (auto& future : futures) {
+    serverless::InvocationResult result = future.get();
+    ASSERT_TRUE(result.response.ok()) << result.response.status().ToString();
+    max_batch_seen = std::max(max_batch_seen, result.batch_size);
+  }
+  ASSERT_GT(max_batch_seen, 1) << "backlog did not coalesce";
+  obs::TraceSnapshot snapshot = WaitForSpans(obs::spans::kDispatch, 1);
+  obs::Tracer::Disable();
+
+  // Every coalesced dispatch (batch_size > 1) carries exactly one
+  // semirt.request span in the head's trace, tagged with the batch size.
+  int batched_dispatches = 0;
+  for (const auto& dispatch : snapshot.spans) {
+    if (dispatch.name == nullptr ||
+        std::string(dispatch.name) != obs::spans::kDispatch ||
+        dispatch.arg_name == nullptr ||
+        std::string(dispatch.arg_name) != "batch_size" || dispatch.arg < 2) {
+      continue;
+    }
+    batched_dispatches++;
+    std::vector<const obs::SpanRecord*> requests;
+    for (const auto& span : snapshot.spans) {
+      if (span.trace_id == dispatch.trace_id && span.name != nullptr &&
+          std::string(span.name) == obs::spans::kRequest) {
+        requests.push_back(&span);
+      }
+    }
+    ASSERT_EQ(requests.size(), 1u) << "batch of " << dispatch.arg;
+    EXPECT_EQ(requests.front()->arg, dispatch.arg);
+    EXPECT_LE(dispatch.start, requests.front()->start);
+    EXPECT_LE(requests.front()->end, dispatch.end);
+  }
+  EXPECT_GE(batched_dispatches, 1);
+}
+
+TEST_F(ObsLiveTest, ColdRequestStageSpansMatchStageTimings) {
+  auto instance = semirt::SemirtInstance::Create(&ks_platform_, {}, &storage_,
+                                                 keyservice_.get());
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  obs::Tracer::Reset();
+  obs::Tracer::Enable();
+  semirt::StageTimings timings;
+  auto sealed = (*instance)->HandleRequest(BuildRequest(), &timings);
+  obs::Tracer::Disable();
+  ASSERT_TRUE(sealed.ok()) << sealed.status().ToString();
+  ASSERT_EQ(timings.kind, semirt::InvocationKind::kCold);
+
+  obs::TraceSnapshot snapshot = obs::Tracer::Snap();
+  std::map<std::string, const obs::SpanRecord*> by_name;
+  for (const auto& span : snapshot.spans) {
+    ASSERT_NE(span.name, nullptr);
+    ASSERT_FALSE(by_name.count(span.name)) << "duplicate span " << span.name;
+    by_name[span.name] = &span;
+  }
+  const char* stages[] = {obs::spans::kKeyFetch,    obs::spans::kModelLoad,
+                          obs::spans::kRuntimeInit, obs::spans::kDecrypt,
+                          obs::spans::kInference,   obs::spans::kEncrypt};
+  for (const char* name : stages) ASSERT_TRUE(by_name.count(name)) << name;
+  for (const char* name : {obs::spans::kRequest, obs::spans::kEcall,
+                           obs::spans::kHandshake}) {
+    ASSERT_TRUE(by_name.count(name)) << name;
+  }
+  auto span = [&](const char* name) { return by_name.at(name); };
+  auto duration = [&](const char* name) {
+    return span(name)->end - span(name)->start;
+  };
+
+  // The RA-TLS handshake runs inside the key fetch and nests under it.
+  EXPECT_EQ(span(obs::spans::kHandshake)->parent_id,
+            span(obs::spans::kKeyFetch)->span_id);
+  EXPECT_EQ(span(obs::spans::kEcall)->parent_id,
+            span(obs::spans::kRequest)->span_id);
+  for (const char* name : stages) {
+    EXPECT_EQ(span(name)->parent_id, span(obs::spans::kEcall)->span_id) << name;
+  }
+
+  // Each span and its StageTimings field come from the same two clock reads.
+  EXPECT_EQ(duration(obs::spans::kRequest), timings.total);
+  EXPECT_EQ(duration(obs::spans::kKeyFetch), timings.key_fetch);
+  EXPECT_EQ(duration(obs::spans::kModelLoad), timings.model_load);
+  EXPECT_EQ(duration(obs::spans::kRuntimeInit), timings.runtime_init);
+  EXPECT_EQ(duration(obs::spans::kDecrypt) + duration(obs::spans::kInference) +
+                duration(obs::spans::kEncrypt),
+            timings.execute);
+
+  // Stages run in order and adjacent stages do not overlap.
+  for (size_t i = 1; i < std::size(stages); ++i) {
+    EXPECT_LE(span(stages[i - 1])->end, span(stages[i])->start)
+        << stages[i - 1] << " overlaps " << stages[i];
+  }
+  EXPECT_LE(span(obs::spans::kRequest)->start, span(obs::spans::kKeyFetch)->start);
+  EXPECT_LE(span(obs::spans::kEncrypt)->end, span(obs::spans::kRequest)->end);
+}
+
 TEST_F(ObsLiveTest, ClusterRerouteEmitsInstantInRequestTrace) {
   cluster::ClusterConfig config;
   config.initial_nodes = 2;
@@ -576,9 +694,8 @@ TEST_F(ObsLiveTest, ClusterInvocationYieldsConnectedSpanTree) {
   int hops = 0;
   while (node->parent_id != 0 && hops++ < 32) {
     EXPECT_EQ(node->trace_id, root->trace_id) << node->name;
-    // Stage spans are reconstructed backwards from component durations;
-    // allow a little cross-clock slack at the root boundary.
-    EXPECT_LE(root->start - 2000, node->start) << node->name;
+    // Every span on this chain is RAII-timed on the tracer clock.
+    EXPECT_LE(root->start, node->start) << node->name;
     auto parent = by_id.find(node->parent_id);
     ASSERT_NE(parent, by_id.end())
         << node->name << " has an unrecorded parent span";

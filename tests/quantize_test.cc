@@ -177,43 +177,6 @@ TEST(Int8GemmEdgeTest, ExtremeOperandsStayExact) {
   }
 }
 
-TEST(Int8GemmEdgeTest, RequantSaturatesAndRounds) {
-  // One row, k = 4: accumulators chosen to force the requant clamp at both
-  // rails and exercise round-to-nearest-even at the midpoint.
-  const int k = 4, n = 16, m = 1;
-  std::vector<uint8_t> a(k, 1);
-  std::vector<int8_t> b(static_cast<size_t>(k) * n, 0);
-  for (int j = 0; j < n; ++j) b[j] = static_cast<int8_t>(j % 2 == 0 ? 100 : -100);
-  std::vector<int32_t> colsums(n);
-  gemm::Int8ColumnSums(b.data(), k, n, colsums.data());
-  std::vector<float> w_scales(n, 1.0f);
-  const float a_scale = 1.0f;
-  const int32_t a_zp = 0;
-  std::vector<int8_t> packed(gemm::PackedBInt8Bytes(k, n));
-  gemm::PackBInt8(b.data(), k, n, packed.data());
-
-  // acc = +/-100; out.scale = 0.5 -> q = +/-200 + zp, clamped to [-128, 127].
-  ActQuant out_q;
-  out_q.scale = 0.5f;
-  out_q.zero_point = 10;
-  std::vector<int8_t> got(n, 0);
-  gemm::GemmInt8PrepackedRequant(a.data(), k, &a_scale, &a_zp, packed.data(),
-                                 w_scales.data(), colsums.data(), nullptr,
-                                 out_q, got.data(), m, n, k);
-  for (int j = 0; j < n; ++j) {
-    EXPECT_EQ(got[j], j % 2 == 0 ? 127 : -128) << "clamp rail at col " << j;
-  }
-
-  // Rounding: acc = 100, out.scale = 40 -> 100/40 = 2.5, lrintf rounds to
-  // even -> 2, plus zero-point.
-  out_q.scale = 40.0f;
-  out_q.zero_point = 3;
-  gemm::GemmInt8PrepackedRequant(a.data(), k, &a_scale, &a_zp, packed.data(),
-                                 w_scales.data(), colsums.data(), nullptr,
-                                 out_q, got.data(), m, n, k);
-  EXPECT_EQ(got[0], 2 + 3);
-}
-
 TEST(PackBInt8Test, LayoutInterleavesKGroupsAndZeroPads) {
   // 2 panels (n = 17), k = 5 -> k4 = 8. Byte (g, j, ki) of a panel must be
   // B[4g + ki][panel*16 + j]; K pad rows and the ragged panel edge are zero.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "client/clients.h"
@@ -484,6 +485,119 @@ TEST_F(SemirtTest, RequestSerializationRoundTrip) {
   EXPECT_EQ(parsed->model_id, "m");
   EXPECT_EQ(parsed->encrypted_input, (Bytes{1, 2, 3}));
   EXPECT_FALSE(InferenceRequest::Parse(Bytes(5, 9)).ok());
+}
+
+// HandleRequestBatch: one slot, one enclave entry, one batched MODEL_EXEC.
+
+/// Encrypted requests for seeds [first, first + n) under `user`.
+std::vector<InferenceRequest> BuildRequests(const ModelUser& user,
+                                            const model::ModelGraph& graph,
+                                            uint64_t first, int n) {
+  std::vector<InferenceRequest> requests;
+  for (int i = 0; i < n; ++i) {
+    auto request =
+        user.BuildRequest(graph.model_id, model::GenerateRandomInput(graph, first + i));
+    EXPECT_TRUE(request.ok());
+    requests.push_back(*request);
+  }
+  return requests;
+}
+
+std::vector<const InferenceRequest*> Pointers(
+    const std::vector<InferenceRequest>& requests) {
+  std::vector<const InferenceRequest*> out;
+  for (const InferenceRequest& request : requests) out.push_back(&request);
+  return out;
+}
+
+TEST_F(SemirtTest, BatchOutputsMatchPerRequestHandling) {
+  SemirtOptions options;
+  Authorize("m0", options);
+  auto batched = MakeInstance(options);
+  auto single = MakeInstance(options);
+  ASSERT_TRUE(batched.ok() && single.ok());
+  const std::vector<InferenceRequest> requests =
+      BuildRequests(*user_, graphs_["m0"], 7, 4);
+
+  std::vector<Result<Bytes>> results =
+      (*batched)->HandleRequestBatch(Pointers(requests));
+  ASSERT_EQ(results.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << i << ": " << results[i].status().ToString();
+    auto want_sealed = (*single)->HandleRequest(requests[i]);
+    ASSERT_TRUE(want_sealed.ok());
+    auto got = user_->DecryptResult("m0", *results[i]);
+    auto want = user_->DecryptResult("m0", *want_sealed);
+    ASSERT_TRUE(got.ok() && want.ok());
+    auto got_scores = model::ParseOutput(*got);
+    auto want_scores = model::ParseOutput(*want);
+    ASSERT_TRUE(got_scores.ok() && want_scores.ok());
+    ASSERT_EQ(got_scores->size(), want_scores->size());
+    const auto top1 = [](const std::vector<float>& v) {
+      return std::max_element(v.begin(), v.end()) - v.begin();
+    };
+    EXPECT_EQ(top1(*got_scores), top1(*want_scores)) << "request " << i;
+    for (size_t j = 0; j < got_scores->size(); ++j) {
+      EXPECT_NEAR((*got_scores)[j], (*want_scores)[j], 1e-4) << i << "," << j;
+    }
+  }
+}
+
+TEST_F(SemirtTest, BatchTamperedAndForeignEntriesFailAlone) {
+  SemirtOptions options;
+  Authorize("m0", options);
+  ModelUser other("visitor");
+  ASSERT_TRUE(other.Register(client_.get()).ok());
+  sgx::Measurement es = SemirtInstance::MeasurementFor(options);
+  ASSERT_TRUE(owner_->GrantAccess(client_.get(), "m0", es, other.id()).ok());
+  ASSERT_TRUE(other.ProvisionRequestKey(client_.get(), "m0", es).ok());
+  auto instance = MakeInstance(options);
+  ASSERT_TRUE(instance.ok());
+
+  std::vector<InferenceRequest> requests = BuildRequests(*user_, graphs_["m0"], 1, 4);
+  requests[1].encrypted_input[requests[1].encrypted_input.size() / 2] ^= 1;
+  requests[2] = BuildRequests(other, graphs_["m0"], 3, 1).front();
+
+  std::vector<Result<Bytes>> results =
+      (*instance)->HandleRequestBatch(Pointers(requests));
+  ASSERT_EQ(results.size(), 4u);
+  EXPECT_TRUE(results[0].ok()) << results[0].status().ToString();
+  EXPECT_TRUE(results[1].status().IsUnauthenticated())
+      << results[1].status().ToString();
+  EXPECT_TRUE(results[2].status().IsInvalidArgument())
+      << "a foreign user's entry must not run under the head's keys";
+  EXPECT_TRUE(results[3].ok()) << results[3].status().ToString();
+  auto plain = user_->DecryptResult("m0", *results[3]);
+  EXPECT_TRUE(plain.ok());
+}
+
+TEST_F(SemirtTest, BatchCountsEveryRequestUnderOneKind) {
+  SemirtOptions options;
+  Authorize("m0", options);
+  auto instance = MakeInstance(options);
+  ASSERT_TRUE(instance.ok());
+  const std::vector<InferenceRequest> requests =
+      BuildRequests(*user_, graphs_["m0"], 1, 3);
+
+  StageTimings t;
+  for (const auto& r : (*instance)->HandleRequestBatch(Pointers(requests), &t)) {
+    ASSERT_TRUE(r.ok());
+  }
+  EXPECT_EQ(t.kind, InvocationKind::kCold);
+  SemirtStats stats = (*instance)->stats();
+  EXPECT_EQ(stats.requests, 3);
+  EXPECT_EQ(stats.cold_invocations, 3);
+  EXPECT_EQ(stats.key_fetches, 1);
+  EXPECT_EQ(stats.model_loads, 1);
+
+  for (const auto& r : (*instance)->HandleRequestBatch(Pointers(requests), &t)) {
+    ASSERT_TRUE(r.ok());
+  }
+  EXPECT_EQ(t.kind, InvocationKind::kHot);
+  stats = (*instance)->stats();
+  EXPECT_EQ(stats.requests, 6);
+  EXPECT_EQ(stats.hot_invocations, 3);
+  EXPECT_EQ(stats.key_fetches, 1);
 }
 
 }  // namespace
