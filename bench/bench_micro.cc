@@ -14,6 +14,7 @@
 #include <cmath>
 
 #include "bench/bench_common.h"
+#include "common/cpuid.h"
 #include "crypto/gcm.h"
 #include "crypto/sha256.h"
 #include "crypto/x25519.h"
@@ -26,23 +27,30 @@
 namespace sesemi::bench {
 namespace {
 
-// SHA-256 rides the same hw-vs-portable dispatch as GCM: the default series
-// is labelled with the resolved backend (SHA-NI where the CPU has it), and
-// the *Portable twin pins the FIPS 180-4 scalar rounds.
+// Label a series with the tier `primitive` runs on when pinned to `pinned`
+// (common/cpuid.h: "vaes", "sha-ni", "avx2", "avx512-vnni", "portable").
+void LabelTier(benchmark::State& state, Primitive primitive,
+               Tier pinned = Tier::kAuto) {
+  state.SetLabel(TierName(primitive, ResolveTier(primitive, pinned)));
+}
+
+// SHA-256 rides the same tier resolver as GCM: the default series is
+// labelled with the resolved tier (SHA-NI where the CPU has it), and the
+// *Portable twin pins the FIPS 180-4 scalar rounds.
 void BM_Sha256(benchmark::State& state) {
   Bytes data(static_cast<size_t>(state.range(0)), 0xab);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::Sha256::Hash(data));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
-  state.SetLabel(crypto::Sha256().hardware() ? "hw" : "portable");
+  LabelTier(state, Primitive::kSha256);
 }
 BENCHMARK(BM_Sha256)->Arg(1024)->Arg(64 * 1024)->Arg(1024 * 1024);
 
 void BM_Sha256Portable(benchmark::State& state) {
   Bytes data(static_cast<size_t>(state.range(0)), 0xab);
   for (auto _ : state) {
-    crypto::Sha256 h(crypto::CryptoBackend::kPortable);
+    crypto::Sha256 h(Tier::kPortable);
     h.Update(data);
     benchmark::DoNotOptimize(h.Finish());
   }
@@ -51,7 +59,7 @@ void BM_Sha256Portable(benchmark::State& state) {
 BENCHMARK(BM_Sha256Portable)->Arg(1024)->Arg(64 * 1024)->Arg(1024 * 1024);
 
 // The hw-vs-portable series: the default benchmarks ride the process-wide
-// backend (AES-NI + PCLMUL where the CPU has them, labelled), and the
+// tier (VAES or AES-NI + PCLMUL where the CPU has them, labelled), and the
 // *Portable twins pin the T-table/Shoup fallback, so one run shows the
 // hardware dispatch speedup in-binary — the same pattern as the *Naive
 // inference kernels below.
@@ -63,14 +71,14 @@ void BM_AesGcmEncrypt(benchmark::State& state) {
     benchmark::DoNotOptimize(gcm->Encrypt(nonce, {}, data));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
-  state.SetLabel(gcm->hardware() ? "hw" : "portable");
+  LabelTier(state, Primitive::kAesGcm);
 }
 BENCHMARK(BM_AesGcmEncrypt)->Arg(1024)->Arg(64 * 1024)->Arg(1024 * 1024);
 
 void BM_AesGcmEncryptPortable(benchmark::State& state) {
   Bytes key(16, 1), nonce(12, 2);
   Bytes data(static_cast<size_t>(state.range(0)), 0xcd);
-  auto gcm = crypto::AesGcm::Create(key, crypto::CryptoBackend::kPortable);
+  auto gcm = crypto::AesGcm::Create(key, Tier::kPortable);
   for (auto _ : state) {
     benchmark::DoNotOptimize(gcm->Encrypt(nonce, {}, data));
   }
@@ -87,14 +95,14 @@ void BM_AesGcmDecrypt(benchmark::State& state) {
     benchmark::DoNotOptimize(gcm->Decrypt(nonce, {}, sealed));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
-  state.SetLabel(gcm->hardware() ? "hw" : "portable");
+  LabelTier(state, Primitive::kAesGcm);
 }
 BENCHMARK(BM_AesGcmDecrypt)->Arg(1024)->Arg(64 * 1024)->Arg(1024 * 1024);
 
 void BM_AesGcmDecryptPortable(benchmark::State& state) {
   Bytes key(16, 1), nonce(12, 2);
   Bytes data(static_cast<size_t>(state.range(0)), 0xcd);
-  auto gcm = crypto::AesGcm::Create(key, crypto::CryptoBackend::kPortable);
+  auto gcm = crypto::AesGcm::Create(key, Tier::kPortable);
   Bytes sealed = std::move(*gcm->Encrypt(nonce, {}, data));
   for (auto _ : state) {
     benchmark::DoNotOptimize(gcm->Decrypt(nonce, {}, sealed));
@@ -124,7 +132,7 @@ void BM_GcmSealPortable(benchmark::State& state) {
   Bytes aad = ToBytes("sesemi-request:mbnet");
   Bytes data(static_cast<size_t>(state.range(0)), 0x5c);
   for (auto _ : state) {
-    auto gcm = crypto::AesGcm::Create(key, crypto::CryptoBackend::kPortable);
+    auto gcm = crypto::AesGcm::Create(key, Tier::kPortable);
     benchmark::DoNotOptimize(crypto::GcmSealPartsWith(*gcm, aad, {}, data));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
@@ -136,7 +144,7 @@ BENCHMARK(BM_GcmSealPortable)->Arg(1024)->Arg(64 * 1024)->Arg(1024 * 1024);
 // other twins), so one run shows what the wide tier buys over single-block
 // AES-NI. Skips with a note where the CPU lacks VAES/AVX-512.
 void BM_GcmSealVaes(benchmark::State& state) {
-  if (!crypto::VaesCryptoAvailable()) {
+  if (!TierAvailable(Primitive::kAesGcm, Tier::kWide)) {
     // This libbenchmark predates SkipWithMessage; an empty run with a label
     // keeps the series present (CI asserts on the name) without faking a
     // throughput number.
@@ -149,7 +157,7 @@ void BM_GcmSealVaes(benchmark::State& state) {
   Bytes aad = ToBytes("sesemi-request:mbnet");
   Bytes data(static_cast<size_t>(state.range(0)), 0x5c);
   for (auto _ : state) {
-    auto gcm = crypto::AesGcm::Create(key, crypto::CryptoBackend::kHardwareVaes);
+    auto gcm = crypto::AesGcm::Create(key, Tier::kWide);
     benchmark::DoNotOptimize(crypto::GcmSealPartsWith(*gcm, aad, {}, data));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
@@ -174,7 +182,7 @@ void BM_GcmOpenPortable(benchmark::State& state) {
   Bytes data(static_cast<size_t>(state.range(0)), 0x5c);
   Bytes sealed = std::move(*crypto::GcmSeal(key, aad, data));
   for (auto _ : state) {
-    auto gcm = crypto::AesGcm::Create(key, crypto::CryptoBackend::kPortable);
+    auto gcm = crypto::AesGcm::Create(key, Tier::kPortable);
     benchmark::DoNotOptimize(crypto::GcmOpenPartsWith(*gcm, aad, {}, sealed));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
@@ -217,6 +225,7 @@ void BM_Conv2d(benchmark::State& state) {
                            s.stride, s.out_c, s.out.data(), scratch.data());
     benchmark::DoNotOptimize(s.out.data());
   }
+  LabelTier(state, Primitive::kGemmF32);
   state.counters["FLOPS"] = benchmark::Counter(
       s.flops * static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
@@ -253,6 +262,7 @@ void BM_Conv2dPrepacked(benchmark::State& state) {
                                          s.out.data(), scratch.data());
     benchmark::DoNotOptimize(s.out.data());
   }
+  LabelTier(state, Primitive::kGemmF32);
   state.counters["FLOPS"] = benchmark::Counter(
       s.flops * static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
@@ -280,6 +290,7 @@ void BM_DepthwiseConv2d(benchmark::State& state) {
                                     s.kernel, s.stride, s.out.data());
     benchmark::DoNotOptimize(s.out.data());
   }
+  LabelTier(state, Primitive::kGemmF32);
   state.counters["FLOPS"] = benchmark::Counter(
       s.flops * static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
@@ -307,6 +318,7 @@ void BM_Dense(benchmark::State& state) {
     inference::ops::Dense(in.data(), in_features, weights.data(), units, out.data());
     benchmark::DoNotOptimize(out.data());
   }
+  LabelTier(state, Primitive::kGemmF32);
   state.counters["FLOPS"] = benchmark::Counter(
       2.0 * static_cast<double>(in_features) * units * state.iterations(),
       benchmark::Counter::kIsRate);
@@ -348,6 +360,7 @@ void BM_DensePrepacked(benchmark::State& state) {
                                    units, static_cast<int>(in_features));
     benchmark::DoNotOptimize(out.data());
   }
+  LabelTier(state, Primitive::kGemmF32);
   state.counters["FLOPS"] = benchmark::Counter(
       2.0 * static_cast<double>(in_features) * units * state.iterations(),
       benchmark::Counter::kIsRate);
@@ -359,17 +372,17 @@ BENCHMARK(BM_DensePrepacked)->Args({1024, 1024})->Args({4096, 256});
 // dynamic activation quantization + the u7×s8 GEMV with the fp32 dequant
 // epilogue. The FLOPS counter uses the same multiply-add count as the fp32
 // twins, so the series divide directly into a speedup. arg2 pins the
-// instruction tier (0 = auto, 1 = portable, 2 = AVX2, 3 = AVX-512 VNNI);
+// Tier (0 = auto, 1 = portable, 2 = AVX2, 3 = AVX-512 VNNI);
 // pinned tiers the CPU lacks emit an empty labelled run, like BM_GcmSealVaes.
 void BM_DenseInt8(benchmark::State& state) {
   const int in_features = static_cast<int>(state.range(0));
   const int units = static_cast<int>(state.range(1));
-  const auto isa = static_cast<inference::gemm::GemmIsa>(state.range(2));
-  if (!inference::gemm::GemmIsaAvailable(isa)) {
+  const auto tier = static_cast<Tier>(state.range(2));
+  if (!TierAvailable(Primitive::kGemmInt8, tier)) {
     for (auto _ : state) {
     }
-    state.SetLabel(std::string("skipped: ") + inference::gemm::ToString(isa) +
-                   " unavailable");
+    state.SetLabel(std::string("skipped: ") +
+                   TierName(Primitive::kGemmInt8, tier) + " unavailable");
     return;
   }
   std::vector<float> in = BenchVec(static_cast<size_t>(in_features));
@@ -411,12 +424,10 @@ void BM_DenseInt8(benchmark::State& state) {
     inference::gemm::GemmInt8Prepacked(in_q.data(), k4, &a_scale, &a_zp,
                                        packed.data(), w_scales.data(),
                                        colsums.data(), bias, out.data(), 1,
-                                       units, in_features, isa);
+                                       units, in_features, tier);
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetLabel(inference::gemm::ToString(
-      isa == inference::gemm::GemmIsa::kAuto ? inference::gemm::ActiveGemmIsa()
-                                             : isa));
+  LabelTier(state, Primitive::kGemmInt8, tier);
   state.counters["FLOPS"] = benchmark::Counter(
       2.0 * static_cast<double>(in_features) * units * state.iterations(),
       benchmark::Counter::kIsRate);
@@ -469,7 +480,7 @@ void BM_Conv2dInt8(benchmark::State& state) {
         scratch.empty() ? nullptr : scratch.data());
     benchmark::DoNotOptimize(s.out.data());
   }
-  state.SetLabel(inference::gemm::ToString(inference::gemm::ActiveGemmIsa()));
+  LabelTier(state, Primitive::kGemmInt8);
   state.counters["FLOPS"] = benchmark::Counter(
       s.flops * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);

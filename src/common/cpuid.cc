@@ -1,6 +1,7 @@
 #include "common/cpuid.h"
 
 #include <cstdlib>
+#include <iterator>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
@@ -80,10 +81,94 @@ const CpuFeatures& GetCpuFeatures() {
   return features;
 }
 
-bool ForcePortable() {
+namespace {
+
+constexpr int kNumPrimitives = static_cast<int>(std::size(kAllPrimitives));
+constexpr int kNumTiers = 4;
+
+using Predicate = bool (CpuFeatures::*)() const;
+
+// One row per Primitive, columns indexed by Tier. A null predicate means the
+// primitive has no such tier (kAuto and kPortable need none).
+struct PrimitiveRow {
+  const char* name;
+  const char* tier_names[kNumTiers];
+  Predicate needs[kNumTiers];
+};
+
+constexpr PrimitiveRow kTable[kNumPrimitives] = {
+    {"aes_gcm",
+     {"auto", "portable", "aesni", "vaes"},
+     {nullptr, nullptr, &CpuFeatures::AesniGcm, &CpuFeatures::VaesGcm}},
+    {"sha256",
+     {"auto", "portable", "sha-ni", nullptr},
+     {nullptr, nullptr, &CpuFeatures::ShaNi, nullptr}},
+    {"gemm_f32",
+     {"auto", "portable", "avx2", nullptr},
+     {nullptr, nullptr, &CpuFeatures::Avx2Fma, nullptr}},
+    {"gemm_int8",
+     {"auto", "portable", "avx2", "avx512-vnni"},
+     {nullptr, nullptr, &CpuFeatures::Avx2Fma, &CpuFeatures::Avx512Vnni}},
+};
+
+struct Resolution {
+  bool available[kNumPrimitives][kNumTiers];
+  Tier auto_tier[kNumPrimitives];
+};
+
+Resolution Resolve() {
+  const CpuFeatures& cpu = GetCpuFeatures();
   const char* force = std::getenv("SESEMI_FORCE_PORTABLE");
-  return force != nullptr && force[0] != '\0' &&
-         !(force[0] == '0' && force[1] == '\0');
+  const bool force_portable = force != nullptr && force[0] != '\0' &&
+                              !(force[0] == '0' && force[1] == '\0');
+  Resolution r{};
+  for (int p = 0; p < kNumPrimitives; ++p) {
+    r.available[p][static_cast<int>(Tier::kAuto)] = true;
+    r.available[p][static_cast<int>(Tier::kPortable)] = true;
+    r.auto_tier[p] = Tier::kPortable;
+    for (int t = static_cast<int>(Tier::kHardware); t < kNumTiers; ++t) {
+      const Predicate needs = kTable[p].needs[t];
+      r.available[p][t] = needs != nullptr && (cpu.*needs)();
+      if (r.available[p][t] && !force_portable) {
+        r.auto_tier[p] = static_cast<Tier>(t);
+      }
+    }
+  }
+  return r;
+}
+
+const Resolution& Resolved() {
+  static const Resolution resolution = Resolve();
+  return resolution;
+}
+
+bool ValidTier(Tier tier) {
+  return static_cast<unsigned>(tier) < static_cast<unsigned>(kNumTiers);
+}
+
+}  // namespace
+
+bool TierAvailable(Primitive primitive, Tier tier) {
+  const int p = static_cast<int>(primitive);
+  return ValidTier(tier) && Resolved().available[p][static_cast<int>(tier)];
+}
+
+Tier ResolveTier(Primitive primitive, Tier pinned) {
+  if (pinned == Tier::kAuto) {
+    return Resolved().auto_tier[static_cast<int>(primitive)];
+  }
+  return TierAvailable(primitive, pinned) ? pinned : Tier::kPortable;
+}
+
+const char* PrimitiveName(Primitive primitive) {
+  return kTable[static_cast<int>(primitive)].name;
+}
+
+const char* TierName(Primitive primitive, Tier tier) {
+  if (!ValidTier(tier)) return "none";
+  const char* name =
+      kTable[static_cast<int>(primitive)].tier_names[static_cast<int>(tier)];
+  return name != nullptr ? name : "none";
 }
 
 }  // namespace sesemi

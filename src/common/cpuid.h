@@ -1,11 +1,11 @@
-// Shared x86 CPU feature probe for runtime dispatch.
+// Shared x86 CPU feature probe and the one tier resolver for runtime
+// dispatch.
 //
-// crypto/ and inference/ each grew their own __builtin_cpu_supports() calls;
-// this centralises them and adds the AVX-512-era bits those builtins get
-// wrong or miss: a feature only counts as usable when the CPUID bit is set
-// AND the OS has enabled the matching state-save component in XCR0 (XMM/YMM
-// for AVX2, plus opmask/ZMM_Hi256/Hi16_ZMM for anything AVX-512). Probing
-// once at first use keeps every dispatch site consistent and cheap.
+// A feature only counts as usable when the CPUID bit is set AND the OS has
+// enabled the matching state-save component in XCR0 (XMM/YMM for AVX2, plus
+// opmask/ZMM_Hi256/Hi16_ZMM for anything AVX-512) — the AVX-512-era bits
+// __builtin_cpu_supports() gets wrong or misses. Probing and resolving once
+// at first use keeps every dispatch site consistent and cheap.
 #pragma once
 
 namespace sesemi {
@@ -31,7 +31,7 @@ struct CpuFeatures {
   bool os_avx = false;     // XMM+YMM (bits 1-2)
   bool os_avx512 = false;  // + opmask/ZMM_Hi256/Hi16_ZMM (bits 5-7)
 
-  // Derived tier predicates used by the dispatchers.
+  // Derived tier predicates, referenced by the resolver's tier table.
   bool Avx2Fma() const { return avx2 && fma; }
   // vpdpbusd on 512-bit vectors with masked tails.
   bool Avx512Vnni() const { return avx512f && avx512bw && avx512vl && avx512vnni; }
@@ -47,9 +47,41 @@ struct CpuFeatures {
 // Non-x86 builds report all-false.
 const CpuFeatures& GetCpuFeatures();
 
-// True when SESEMI_FORCE_PORTABLE is set non-empty and not "0": the crypto
-// and int8 GEMM auto dispatchers then pin their portable tiers. The one
-// parse of that variable; callers cache their resolved tier.
-bool ForcePortable();
+// ------------------------------------------------------------ tier resolver
+// The one dispatch rule for every SIMD and crypto primitive. Each primitive
+// has a portable tier and up to two wider ones, each gated on one
+// CpuFeatures predicate:
+//   kAesGcm    hardware = AesniGcm (AES-NI + PCLMULQDQ), wide = VaesGcm
+//   kSha256    hardware = ShaNi
+//   kGemmF32   hardware = Avx2Fma (GEMM, GEMV, packed, depthwise)
+//   kGemmInt8  hardware = Avx2Fma (maddubs), wide = Avx512Vnni (vpdpbusd)
+// The table is resolved once per process. kAuto gives the widest available
+// tier, or kPortable for every primitive when SESEMI_FORCE_PORTABLE is set
+// non-empty and not "0" (the fallback leg of CI). An explicit pin is honoured
+// when available and runs portable otherwise; all tiers of a primitive
+// produce identical results, so a pin never changes outputs.
+enum class Primitive { kAesGcm, kSha256, kGemmF32, kGemmInt8 };
+inline constexpr Primitive kAllPrimitives[] = {
+    Primitive::kAesGcm, Primitive::kSha256, Primitive::kGemmF32,
+    Primitive::kGemmInt8};
+
+// The numeric values are part of the bench series names (BM_DenseInt8's
+// third argument) and must stay fixed.
+enum class Tier { kAuto = 0, kPortable = 1, kHardware = 2, kWide = 3 };
+
+// True when `tier` exists for `primitive` and this CPU can run it (kAuto and
+// kPortable always can).
+bool TierAvailable(Primitive primitive, Tier tier);
+
+// The tier `pinned` runs on: kAuto follows the rule above, an unavailable
+// pin gives kPortable.
+Tier ResolveTier(Primitive primitive, Tier pinned = Tier::kAuto);
+
+// "aes_gcm", "sha256", "gemm_f32", "gemm_int8".
+const char* PrimitiveName(Primitive primitive);
+
+// The tier's name for this primitive ("portable", "aesni", "vaes", "sha-ni",
+// "avx2", "avx512-vnni", "auto"); "none" for a tier the primitive lacks.
+const char* TierName(Primitive primitive, Tier tier);
 
 }  // namespace sesemi

@@ -78,8 +78,12 @@ struct RtExecutorStats {
   bool elevated = false;      ///< SCHED_FIFO applied on every lane
 };
 
-class RtExecutor final : public Executor {
+class RtExecutor {
  public:
+  /// Jobs are a plain function pointer + context word (not std::function),
+  /// so Submit can stay allocation-free.
+  using JobFn = void (*)(void*);
+
   explicit RtExecutor(const RtExecutorConfig& config);
   /// Stops accepting work, lets lanes drain every queued job, joins them.
   ~RtExecutor();
@@ -89,11 +93,10 @@ class RtExecutor final : public Executor {
 
   /// Lock-free, allocation-free, non-blocking handoff. False when the ring
   /// is full or the executor is shutting down.
-  bool Submit(JobFn fn, void* arg) override;
+  bool Submit(JobFn fn, void* arg);
 
-  const char* name() const override { return "rt"; }
-  ExecTier tier() const override { return ExecTier::kRealtime; }
-  int lanes() const override { return static_cast<int>(threads_.size()); }
+  /// Lane threads this executor runs jobs on.
+  int lanes() const { return static_cast<int>(threads_.size()); }
 
   RtExecutorStats stats() const;
 

@@ -183,57 +183,14 @@ __attribute__((target("avx512f,avx512bw,avx512vl,vaes"))) void VaesEncryptBlocks
 #endif  // SESEMI_CRYPTO_X86
 }  // namespace
 
-const char* ToString(CryptoBackend backend) {
-  switch (backend) {
-    case CryptoBackend::kAuto: return "auto";
-    case CryptoBackend::kPortable: return "portable";
-    case CryptoBackend::kHardware: return "hardware";
-    case CryptoBackend::kHardwareVaes: return "hardware-vaes";
-  }
-  return "unknown";
-}
-
-bool HardwareCryptoAvailable() {
-#if SESEMI_CRYPTO_X86
-  return GetCpuFeatures().AesniGcm();
-#else
-  return false;
-#endif
-}
-
-bool VaesCryptoAvailable() {
-#if SESEMI_CRYPTO_X86
-  return GetCpuFeatures().VaesGcm();
-#else
-  return false;
-#endif
-}
-
-CryptoBackend ActiveCryptoBackend() {
-  static const CryptoBackend active = [] {
-    if (ForcePortable() || !HardwareCryptoAvailable()) return CryptoBackend::kPortable;
-    if (VaesCryptoAvailable()) return CryptoBackend::kHardwareVaes;
-    return CryptoBackend::kHardware;
-  }();
-  return active;
-}
-
-Result<Aes> Aes::Create(ByteSpan key, CryptoBackend backend) {
+Result<Aes> Aes::Create(ByteSpan key, Tier tier) {
   if (key.size() != kAes128KeySize && key.size() != kAes256KeySize) {
     return Status::InvalidArgument("AES key must be 16 or 32 bytes");
   }
-  if (backend == CryptoBackend::kAuto) backend = ActiveCryptoBackend();
-  if (backend == CryptoBackend::kHardware && !HardwareCryptoAvailable()) {
-    return Status::FailedPrecondition("AES-NI/PCLMUL not available on this CPU");
-  }
-  if (backend == CryptoBackend::kHardwareVaes && !VaesCryptoAvailable()) {
-    return Status::FailedPrecondition(
-        "VAES/VPCLMULQDQ/AVX-512 not available on this CPU");
-  }
+  tier = ResolveTier(Primitive::kAesGcm, tier);
   Aes aes;
-  aes.hw_ = backend == CryptoBackend::kHardware ||
-            backend == CryptoBackend::kHardwareVaes;
-  aes.vaes_ = backend == CryptoBackend::kHardwareVaes;
+  aes.hw_ = tier != Tier::kPortable;
+  aes.vaes_ = tier == Tier::kWide;
   aes.ExpandKey(key);
   return aes;
 }

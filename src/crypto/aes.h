@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/bytes.h"
+#include "common/cpuid.h"
 #include "common/result.h"
 
 namespace sesemi::crypto {
@@ -12,38 +13,6 @@ constexpr size_t kAesBlockSize = 16;
 constexpr size_t kAes128KeySize = 16;
 constexpr size_t kAes256KeySize = 32;
 
-/// Which AES/GHASH implementation a cipher instance runs on.
-///
-/// The selection is made once per process (see ActiveCryptoBackend) and every
-/// cipher built with kAuto inherits it, so the whole request path — semirt
-/// request codec, keyservice messages, the scheduler's batched RequestCipher —
-/// rides the hardware instructions with zero call-site changes. Tests and
-/// benchmarks pin a backend explicitly to compare the two byte-for-byte.
-enum class CryptoBackend {
-  kAuto = 0,      ///< resolve at startup: widest available tier, else portable
-  kPortable,      ///< T-table AES + 8-bit Shoup-table GHASH
-  kHardware,      ///< AES-NI block cipher + PCLMULQDQ GHASH
-  kHardwareVaes,  ///< VAES 4×128-lane keystream + VPCLMULQDQ 8-block GHASH
-};
-
-const char* ToString(CryptoBackend backend);
-
-/// True when this build and CPU can run the AES-NI + PCLMULQDQ path
-/// (x86-64 with the AES, PCLMUL, and SSSE3 CPUID bits).
-bool HardwareCryptoAvailable();
-
-/// True when the wide tier can run: VAES + VPCLMULQDQ with full AVX-512
-/// (F/BW/VL) and the OS saving ZMM state (XCR0). Implies
-/// HardwareCryptoAvailable() on any real machine.
-bool VaesCryptoAvailable();
-
-/// The backend kAuto resolves to, decided once per process: portable when the
-/// SESEMI_FORCE_PORTABLE environment variable is set non-empty (and not "0")
-/// or when hardware support is missing; otherwise the widest supported tier
-/// (VAES+AVX-512 when available, else AES-NI). The forced-portable pin exists
-/// for tests, benches, and CI fallback legs.
-CryptoBackend ActiveCryptoBackend();
-
 /// AES block cipher (FIPS 197), 128- or 256-bit keys.
 ///
 /// Only the forward (encryption) direction is implemented: the library uses
@@ -51,17 +20,18 @@ CryptoBackend ActiveCryptoBackend();
 /// cipher. This keeps the in-enclave TCB small, matching the paper's goal of a
 /// minimal enclave interface.
 ///
-/// Two implementations sit behind one key schedule: constant-time AES-NI
-/// rounds (4/8-block pipelined) when the hardware backend is active, and the
-/// T-table path as the portable fallback. The classic table cache-timing
-/// caveat applies to the fallback only.
+/// Three tiers sit behind one key schedule (Primitive::kAesGcm in
+/// common/cpuid.h): 512-bit VAES streams (kWide), constant-time AES-NI rounds
+/// (kHardware, 4/8-block pipelined), and the T-table path as the portable
+/// fallback. The classic table cache-timing caveat applies to the fallback
+/// only.
 class Aes {
  public:
-  /// Expands the key schedule. Accepts 16- or 32-byte keys. `backend` pins an
-  /// implementation; kAuto follows ActiveCryptoBackend(), and requesting
-  /// kHardware on a machine without AES-NI fails FailedPrecondition.
-  static Result<Aes> Create(ByteSpan key,
-                            CryptoBackend backend = CryptoBackend::kAuto);
+  /// Expands the key schedule. Accepts 16- or 32-byte keys. `tier` pins an
+  /// implementation through ResolveTier(Primitive::kAesGcm, tier): kAuto
+  /// follows the process-wide choice, and a tier the CPU lacks runs portable
+  /// (hardware()/vaes() report what runs).
+  static Result<Aes> Create(ByteSpan key, Tier tier = Tier::kAuto);
 
   /// Encrypt exactly one 16-byte block, in == out allowed.
   void EncryptBlock(const uint8_t in[kAesBlockSize], uint8_t out[kAesBlockSize]) const;

@@ -241,8 +241,8 @@ struct AesGcm::GhashState {
   size_t buflen = 0;
 };
 
-Result<AesGcm> AesGcm::Create(ByteSpan key, CryptoBackend backend) {
-  SESEMI_ASSIGN_OR_RETURN(Aes aes, Aes::Create(key, backend));
+Result<AesGcm> AesGcm::Create(ByteSpan key, Tier tier) {
+  SESEMI_ASSIGN_OR_RETURN(Aes aes, Aes::Create(key, tier));
   return AesGcm(std::move(aes));
 }
 

@@ -26,7 +26,7 @@ constexpr uint64_t kGcmMaxPlaintextSize = (uint64_t{1} << 36) - 32;
 /// The bulk path is a fused single pass: the CTR keystream is generated in
 /// batches and GHASH is accumulated over the same batch before moving on, so
 /// each ciphertext byte is touched once while hot in L1. On the hardware
-/// backend (AES-NI + PCLMULQDQ, see ActiveCryptoBackend) keystream batches
+/// tier (AES-NI + PCLMULQDQ, see Primitive::kAesGcm) keystream batches
 /// are 8 blocks wide and GHASH is a reflected carry-less multiply with
 /// 4-block aggregation over precomputed H^1..H^4; the VAES+AVX-512 tier
 /// widens this to 16-block (256-byte) keystream batches over 4×128-bit-lane
@@ -35,11 +35,10 @@ constexpr uint64_t kGcmMaxPlaintextSize = (uint64_t{1} << 36) - 32;
 /// Shoup) table.
 class AesGcm {
  public:
-  /// Build a GCM instance over a 16- or 32-byte AES key. `backend` pins an
-  /// implementation (tests/benches compare the two); kAuto follows the
-  /// process-wide selection.
-  static Result<AesGcm> Create(ByteSpan key,
-                               CryptoBackend backend = CryptoBackend::kAuto);
+  /// Build a GCM instance over a 16- or 32-byte AES key. `tier` pins an
+  /// implementation (tests/benches compare them); kAuto follows the
+  /// process-wide selection, see Aes::Create.
+  static Result<AesGcm> Create(ByteSpan key, Tier tier = Tier::kAuto);
 
   /// Encrypt `plaintext` with `nonce` (must be 12 bytes) and additional
   /// authenticated data `aad`. Output is ciphertext || tag.

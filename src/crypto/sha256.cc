@@ -278,19 +278,8 @@ __attribute__((target("sha,sse4.1"))) void ProcessBlocksShaNi(
 
 }  // namespace
 
-bool Sha256HardwareAvailable() {
-#if SESEMI_CRYPTO_X86
-  return GetCpuFeatures().ShaNi();
-#else
-  return false;
-#endif
-}
-
-Sha256::Sha256(CryptoBackend backend) {
-  if (backend == CryptoBackend::kAuto) backend = ActiveCryptoBackend();
-  // Every non-portable tier (AES-NI, VAES) implies a hardware-capable host;
-  // SHA-NI itself is probed separately.
-  hw_ = backend != CryptoBackend::kPortable && Sha256HardwareAvailable();
+Sha256::Sha256(Tier tier)
+    : hw_(ResolveTier(Primitive::kSha256, tier) == Tier::kHardware) {
   Reset();
 }
 

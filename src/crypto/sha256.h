@@ -5,7 +5,7 @@
 #include <cstdint>
 
 #include "common/bytes.h"
-#include "crypto/aes.h"  // CryptoBackend / ActiveCryptoBackend
+#include "common/cpuid.h"
 
 namespace sesemi::crypto {
 
@@ -16,32 +16,26 @@ constexpr size_t kSha256BlockSize = 64;
 
 using Sha256Digest = std::array<uint8_t, kSha256DigestSize>;
 
-/// True when this build and CPU can run the SHA-NI compression path
-/// (x86-64 with the SHA and SSE4.1 CPUID bits).
-bool Sha256HardwareAvailable();
-
 /// Incremental SHA-256 (FIPS 180-4).
 ///
 /// Used for enclave measurement (MRENCLAVE derivation), identity hashing
 /// (Algorithm 1 line 6: id = SHA256(K_id)), and as the compression core of
 /// HMAC/HKDF.
 ///
-/// Two compression implementations sit behind the process-wide crypto
-/// dispatch (see CryptoBackend): SHA-NI two-rounds-per-instruction when a
-/// hardware backend (AES-NI or VAES) is active and the CPU has the SHA
+/// Two compression tiers sit behind Primitive::kSha256 (common/cpuid.h):
+/// SHA-NI two-rounds-per-instruction (kHardware) when the CPU has the SHA
 /// extensions, and the portable FIPS 180-4 rounds otherwise. Both produce
-/// identical digests; SESEMI_FORCE_PORTABLE pins the fallback exactly as it
-/// does for AES-GCM.
+/// identical digests. The tier is resolved on its own: it does not depend
+/// on which AES-GCM tier runs.
 class Sha256 {
  public:
-  Sha256() : Sha256(CryptoBackend::kAuto) { }
-  /// Pin a compression backend (tests/benches). kAuto follows
-  /// ActiveCryptoBackend(); any non-portable backend on a CPU without the
-  /// SHA extensions falls back to portable (the digest is the same either
-  /// way).
-  explicit Sha256(CryptoBackend backend);
+  Sha256() : Sha256(Tier::kAuto) { }
+  /// Pin a compression tier (tests/benches) through
+  /// ResolveTier(Primitive::kSha256, tier): kAuto follows the process-wide
+  /// choice, and a tier the CPU (or SHA-256) lacks runs portable.
+  explicit Sha256(Tier tier);
 
-  /// Restart for a fresh message (keeps the pinned backend).
+  /// Restart for a fresh message (keeps the pinned tier).
   void Reset();
   /// Absorb bytes; may be called any number of times.
   void Update(ByteSpan data);

@@ -115,21 +115,10 @@ void EdgeKernel(const float* a, int lda, const float* b, int n, const float* bia
   }
 }
 
-bool HasAvx2Fma() {
 #ifdef SESEMI_GEMM_X86
-  return GetCpuFeatures().Avx2Fma();
-#else
-  return false;
+// Every fp32 kernel (GEMM, GEMV, packed, depthwise) dispatches on this.
+bool F32Avx2() { return ResolveTier(Primitive::kGemmF32) == Tier::kHardware; }
 #endif
-}
-
-bool HasAvx512Vnni() {
-#ifdef SESEMI_GEMM_X86
-  return GetCpuFeatures().Avx512Vnni();
-#else
-  return false;
-#endif
-}
 
 static_assert(kNr == kPackPanelWidth,
               "packed panels and the micro-kernel N blocking must agree");
@@ -345,7 +334,7 @@ KernelFn FullTileKernel(int mr) {
   static const KernelFn avx2[kMaxMr] = {
       MicroKernelAvx2<1>, MicroKernelAvx2<2>, MicroKernelAvx2<3>,
       MicroKernelAvx2<4>, MicroKernelAvx2<5>, MicroKernelAvx2<6>};
-  if (HasAvx2Fma()) return avx2[mr - 1];
+  if (F32Avx2()) return avx2[mr - 1];
 #endif
   return portable[mr - 1];
 }
@@ -360,7 +349,7 @@ KernelFn FullTilePackedKernel(int mr) {
       MicroKernelPackedAvx2<1>, MicroKernelPackedAvx2<2>,
       MicroKernelPackedAvx2<3>, MicroKernelPackedAvx2<4>,
       MicroKernelPackedAvx2<5>, MicroKernelPackedAvx2<6>};
-  if (HasAvx2Fma()) return avx2[mr - 1];
+  if (F32Avx2()) return avx2[mr - 1];
 #endif
   return portable[mr - 1];
 }
@@ -375,7 +364,7 @@ KernelFn FullTilePackedAccKernel(int mr) {
       MicroKernelPackedAccAvx2<1>, MicroKernelPackedAccAvx2<2>,
       MicroKernelPackedAccAvx2<3>, MicroKernelPackedAccAvx2<4>,
       MicroKernelPackedAccAvx2<5>, MicroKernelPackedAccAvx2<6>};
-  if (HasAvx2Fma()) return avx2[mr - 1];
+  if (F32Avx2()) return avx2[mr - 1];
 #endif
   return portable[mr - 1];
 }
@@ -558,7 +547,7 @@ void DepthwiseConv2d(const float* in, const TensorShape& in_shape,
 
   auto rows = [&](int64_t y0, int64_t y1) {
 #ifdef SESEMI_GEMM_X86
-    if (HasAvx2Fma()) {
+    if (F32Avx2()) {
       DepthwiseRowsAvx2(in, in_shape, weights, bias, kernel, stride, out_w,
                         static_cast<int>(y0), static_cast<int>(y1), out);
       return;
@@ -584,7 +573,7 @@ void Gemm(const float* a, const float* b, const float* bias, float* c, int m,
   if (m <= 0 || n <= 0) return;
   if (m == 1) {
 #ifdef SESEMI_GEMM_X86
-    if (HasAvx2Fma()) {
+    if (F32Avx2()) {
       GemvAvx2(a, b, bias, c, n, k);
       return;
     }
@@ -626,7 +615,7 @@ void GemmPrepacked(const float* a, const float* packed_b, const float* bias,
   if (m <= 0 || n <= 0) return;
   if (m == 1) {
 #ifdef SESEMI_GEMM_X86
-    if (HasAvx2Fma()) {
+    if (F32Avx2()) {
       GemvPackedAvx2(a, packed_b, bias, c, n, k);
       return;
     }
@@ -850,7 +839,7 @@ Int8MicroKernelVnni(const uint8_t* a, int lda, const int8_t* bp, int k4,
 using Int8KernelFn = void (*)(const uint8_t*, int, const int8_t*, int,
                               int32_t (*)[kNr]);
 
-Int8KernelFn Int8Kernel(GemmIsa isa, int mr) {
+Int8KernelFn Int8Kernel(Tier tier, int mr) {
   static const Int8KernelFn portable[kMaxMr] = {
       Int8MicroKernelPortable<1>, Int8MicroKernelPortable<2>,
       Int8MicroKernelPortable<3>, Int8MicroKernelPortable<4>,
@@ -862,17 +851,11 @@ Int8KernelFn Int8Kernel(GemmIsa isa, int mr) {
   static const Int8KernelFn vnni[kMaxMr] = {
       Int8MicroKernelVnni<1>, Int8MicroKernelVnni<2>, Int8MicroKernelVnni<3>,
       Int8MicroKernelVnni<4>, Int8MicroKernelVnni<5>, Int8MicroKernelVnni<6>};
-  if (isa == GemmIsa::kAvx512Vnni) return vnni[mr - 1];
-  if (isa == GemmIsa::kAvx2) return avx2[mr - 1];
+  if (tier == Tier::kWide) return vnni[mr - 1];
+  if (tier == Tier::kHardware) return avx2[mr - 1];
 #endif
-  (void)isa;
+  (void)tier;
   return portable[mr - 1];
-}
-
-GemmIsa ResolveGemmIsa(GemmIsa isa) {
-  if (isa == GemmIsa::kAuto) return ActiveGemmIsa();
-  if (!GemmIsaAvailable(isa)) return GemmIsa::kPortable;
-  return isa;
 }
 
 // Rows [m0, m1) against every panel: the tier kernel fills an exact int32
@@ -881,10 +864,10 @@ GemmIsa ResolveGemmIsa(GemmIsa isa) {
 // outputs bit-identical across tiers.
 template <typename WriteTile>
 void GemmInt8Rows(const uint8_t* a, int lda, const int8_t* packed_b, int m0,
-                  int m1, int n, int k4, GemmIsa isa, WriteTile&& write_tile) {
+                  int m1, int n, int k4, Tier tier, WriteTile&& write_tile) {
   for (int m = m0; m < m1; m += kMaxMr) {
     const int mr = std::min(kMaxMr, m1 - m);
-    Int8KernelFn kernel = Int8Kernel(isa, mr);
+    Int8KernelFn kernel = Int8Kernel(tier, mr);
     const uint8_t* arow = a + static_cast<size_t>(m) * lda;
     for (int n0 = 0; n0 < n; n0 += kNr) {
       const int nr = std::min(kNr, n - n0);
@@ -899,10 +882,10 @@ void GemmInt8Rows(const uint8_t* a, int lda, const int8_t* packed_b, int m0,
 // per-row arrays, 0 = one tensor-wide param broadcast to every row).
 template <typename WriteTile>
 void GemmInt8Driver(const uint8_t* a, int lda, int m, int n, int k,
-                    const int8_t* packed_b, GemmIsa isa,
+                    const int8_t* packed_b, Tier pinned,
                     WriteTile&& write_tile) {
   if (m <= 0 || n <= 0) return;
-  const GemmIsa tier = ResolveGemmIsa(isa);
+  const Tier tier = ResolveTier(Primitive::kGemmInt8, pinned);
   const int k4 = RoundUpK4(k);
   const int64_t flops = static_cast<int64_t>(m) * n * k;
   if (m == 1 || flops < kParallelFlopThreshold) {
@@ -916,39 +899,6 @@ void GemmInt8Driver(const uint8_t* a, int lda, int m, int n, int k,
 }
 
 }  // namespace
-
-const char* ToString(GemmIsa isa) {
-  switch (isa) {
-    case GemmIsa::kAuto: return "auto";
-    case GemmIsa::kPortable: return "portable";
-    case GemmIsa::kAvx2: return "avx2";
-    case GemmIsa::kAvx512Vnni: return "avx512-vnni";
-  }
-  return "unknown";
-}
-
-bool GemmIsaAvailable(GemmIsa isa) {
-  switch (isa) {
-    case GemmIsa::kAuto:
-    case GemmIsa::kPortable:
-      return true;
-    case GemmIsa::kAvx2:
-      return HasAvx2Fma();
-    case GemmIsa::kAvx512Vnni:
-      return HasAvx512Vnni();
-  }
-  return false;
-}
-
-GemmIsa ActiveGemmIsa() {
-  static const GemmIsa active = [] {
-    if (ForcePortable()) return GemmIsa::kPortable;
-    if (HasAvx512Vnni()) return GemmIsa::kAvx512Vnni;
-    if (HasAvx2Fma()) return GemmIsa::kAvx2;
-    return GemmIsa::kPortable;
-  }();
-  return active;
-}
 
 size_t PackedBInt8Bytes(int k, int n) {
   const size_t panels = (static_cast<size_t>(n) + kNr - 1) / kNr;
@@ -1005,9 +955,9 @@ void GemmInt8Prepacked(const uint8_t* a, int lda, const float* a_scales,
                        const int32_t* a_zero_points, const int8_t* packed_b,
                        const float* w_scales, const int32_t* w_colsums,
                        const float* bias, float* c, int m, int n, int k,
-                       GemmIsa isa) {
+                       Tier tier) {
   GemmInt8Driver(
-      a, lda, m, n, k, packed_b, isa,
+      a, lda, m, n, k, packed_b, tier,
       [&](int32_t acc[][kNr], int m_base, int n0, int mr, int nr) {
         for (int r = 0; r < mr; ++r) {
           const int row = m_base + r;
@@ -1083,7 +1033,7 @@ void Conv2dGemmInt8Prepacked(const uint8_t* in_q, const ActQuant& in_quant,
                              const int8_t* packed_w, const float* w_scales,
                              const int32_t* w_colsums, const float* bias,
                              int kernel, int stride, int out_c, float* out,
-                             uint8_t* scratch, GemmIsa isa) {
+                             uint8_t* scratch, Tier tier) {
   const int out_h = (in_shape.h + stride - 1) / stride;
   const int out_w = (in_shape.w + stride - 1) / stride;
   const int m = out_h * out_w;
@@ -1093,7 +1043,7 @@ void Conv2dGemmInt8Prepacked(const uint8_t* in_q, const ActQuant& in_quant,
   const int32_t a_zp = in_quant.zero_point;
   auto gemm_step = [&](const uint8_t* a, int lda, float* c, int rows, int n) {
     GemmInt8Driver(
-        a, lda, rows, n, k, packed_w, isa,
+        a, lda, rows, n, k, packed_w, tier,
         [&](int32_t acc[][kNr], int m_base, int n0, int mr, int nr) {
           for (int r = 0; r < mr; ++r) {
             float* crow = c + static_cast<size_t>(m_base + r) * n + n0;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/cpuid.h"
 #include "model/graph.h"
 
 namespace sesemi::inference::gemm {
@@ -12,7 +13,8 @@ using model::TensorShape;
 
 /// C (M x N) = A (M x K, row-major) * B (K x N, row-major), with C[m][n]
 /// seeded from bias[n] (bias == nullptr seeds zero). Register-blocked
-/// micro-kernels with an AVX2+FMA variant selected at runtime; the k loop
+/// micro-kernels with an AVX2+FMA variant selected at runtime (every fp32
+/// kernel follows ResolveTier(Primitive::kGemmF32)); the k loop
 /// runs strictly ascending per output element, so results match the naive
 /// triple loop up to FMA rounding. Outer row panels are spread across the
 /// process thread pool when the problem is large enough to amortize it.
@@ -83,25 +85,12 @@ void Conv2dGemmPrepacked(const float* in, const TensorShape& in_shape,
 // folded out with precomputed per-column weight sums:
 //   real ~= a_scale * w_scale[n] * (acc[m][n] - a_zp * colsum[n]) + bias[n].
 
-/// Instruction tier for the int8 kernels. kAuto follows ActiveGemmIsa();
-/// tests and benches pin a tier to compare them in one process. Pinning a
-/// tier the CPU lacks silently runs portable (the reference all tiers match).
-enum class GemmIsa {
-  kAuto = 0,    ///< resolve at startup: widest available tier
-  kPortable,    ///< scalar reference kernel (exact, like the SIMD tiers)
-  kAvx2,        ///< vpmaddubsw + vpmaddwd pair-sum kernel
-  kAvx512Vnni,  ///< vpdpbusd 4-way dot-product kernel
-};
-
-const char* ToString(GemmIsa isa);
-
-/// True when this build and CPU can run `isa` (kAuto/kPortable always can).
-bool GemmIsaAvailable(GemmIsa isa);
-
-/// The tier kAuto resolves to, decided once per process: portable when
-/// SESEMI_FORCE_PORTABLE is set non-empty (and not "0"), else the widest
-/// tier the CPU supports.
-GemmIsa ActiveGemmIsa();
+// Instruction tiers (Primitive::kGemmInt8 in common/cpuid.h): portable
+// scalar reference, kHardware = AVX2 vpmaddubsw + vpmaddwd pair sums, kWide
+// = AVX-512 VNNI vpdpbusd. The int8 entry points take a Tier so tests and
+// benches can pin one and compare them in one process; kAuto follows the
+// process-wide choice, and a tier the CPU lacks runs portable (the reference
+// all tiers match).
 
 /// K-group of the int8 packed layout: vpdpbusd consumes 4 consecutive k bytes
 /// per lane, so panels interleave K in groups of 4 (zero-padded).
@@ -149,7 +138,7 @@ void GemmInt8Prepacked(const uint8_t* a, int lda, const float* a_scales,
                        const int32_t* a_zero_points, const int8_t* packed_b,
                        const float* w_scales, const int32_t* w_colsums,
                        const float* bias, float* c, int m, int n, int k,
-                       GemmIsa isa = GemmIsa::kAuto);
+                       Tier tier = Tier::kAuto);
 
 /// Bytes of u8 im2col scratch Conv2dGemmInt8Prepacked wants (same row-tile
 /// policy as the fp32 path, rows padded to RoundUpK4).
@@ -173,7 +162,7 @@ void Conv2dGemmInt8Prepacked(const uint8_t* in_q, const ActQuant& in_quant,
                              const int8_t* packed_w, const float* w_scales,
                              const int32_t* w_colsums, const float* bias,
                              int kernel, int stride, int out_c, float* out,
-                             uint8_t* scratch, GemmIsa isa = GemmIsa::kAuto);
+                             uint8_t* scratch, Tier tier = Tier::kAuto);
 
 /// Same-padding depthwise convolution (channel multiplier 1) on the fast
 /// path: each output row is a panel of per-channel GEMV strips — the channel

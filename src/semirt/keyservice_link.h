@@ -23,6 +23,10 @@ class KeyServiceLink {
   KeyServiceLink(keyservice::KeyServiceServer* server,
                  sgx::Measurement expected_measurement)
       : server_(server), expected_(expected_measurement) {}
+  /// Closes the session on the server (ResetSession), so KeyService keeps
+  /// no session for a link that is gone: a retired instance, or the link a
+  /// Native-mode relaunch replaces. The server must outlive the link.
+  ~KeyServiceLink() { ResetSession(); }
 
   /// Fetch (K_M, K_R) for (user, model) with `enclave` as the attesting
   /// identity. Establishes the mutually attested session on first use.
@@ -35,7 +39,7 @@ class KeyServiceLink {
   int attestation_count() const { return attestation_count_; }
 
   /// Drop the cached session and close it on the server. Used on KeyService
-  /// restart / network reset, and by ~SemirtInstance when the enclave retires.
+  /// restart / network reset, and by the destructor.
   void ResetSession();
 
  private:

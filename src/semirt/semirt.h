@@ -45,7 +45,7 @@ struct SemirtOptions {
   /// enclave see whether their requests run int8 or fp32.
   bool quantize = false;
   RuntimeMode mode = RuntimeMode::kSesemi;
-  uint32_t num_tcs = 1;
+  uint32_t num_tcs = 1;  ///< TCS slots, in [1, SemirtInstance::kMaxTcs]
   uint64_t heap_size_bytes = 256ull << 20;
   bool sequential_mode = false;    ///< Table II: strict per-request isolation
   bool disable_key_cache = false;  ///< part of sequential isolation build
@@ -104,8 +104,7 @@ struct SemirtStats {
 ///  - HandleRequest may be called from any number of threads concurrently;
 ///    at most `num_tcs` execute inside at once, the rest block on TCS slot
 ///    acquisition exactly as on real SGX. Slot acquisition is a lock-free
-///    CAS on a free-slot bitmap when num_tcs <= 64 (a mutex scan otherwise);
-///    waiting uses a condition variable either way.
+///    CAS on a 64-bit free-slot bitmap; waiting uses a condition variable.
 ///  - A thread holding a slot has exclusive use of that slot's ThreadContext
 ///    (its model runtime and activation buffers); the instance mutex guards
 ///    only the shared state — loaded-model cache, key cache, statistics —
@@ -119,10 +118,14 @@ struct SemirtStats {
 ///  - stats(), heap_peak(), loaded_model_id() are safe at any time.
 class SemirtInstance {
  public:
+  /// Most TCS slots one instance has: one bit each in the free-slot mask.
+  static constexpr uint32_t kMaxTcs = 64;
+
   /// Launch the instance: creates the enclave (the expensive part of a cold
   /// start) and connects the KeyService link. `keyservice` may be null only
   /// in kUntrusted mode; otherwise it must outlive the instance, whose
-  /// destructor closes its KeyService session.
+  /// destructor closes its KeyService session. `options.num_tcs` outside
+  /// [1, kMaxTcs] is InvalidArgument.
   static Result<std::unique_ptr<SemirtInstance>> Create(
       sgx::SgxPlatform* platform, const SemirtOptions& options,
       storage::ObjectStore* storage, keyservice::KeyServiceServer* keyservice);
@@ -183,7 +186,6 @@ class SemirtInstance {
 
  private:
   struct ThreadContext {
-    bool busy = false;
     std::string model_id;
     std::unique_ptr<inference::ModelRuntime> runtime;
     uint64_t charged_bytes = 0;
@@ -256,13 +258,10 @@ class SemirtInstance {
   mutable std::mutex mutex_;
   std::vector<ThreadContext> contexts_;
 
-  // TCS slot pool. For num_tcs <= 64 acquisition is a CAS on the free-bit
-  // mask (bit i set = slot i free) so the request hot path never takes a
-  // lock; slot_mutex_/slot_cv_ only park threads when every slot is busy.
-  // Larger TCS counts fall back to a scan of ThreadContext::busy under
-  // slot_mutex_.
-  const bool use_slot_bitmap_;
-  std::atomic<uint64_t> free_slot_bits_{0};
+  // TCS slot pool: acquisition is a CAS on the free-bit mask (bit i set =
+  // slot i free) so the request hot path never takes a lock;
+  // slot_mutex_/slot_cv_ only park threads when every slot is busy.
+  std::atomic<uint64_t> free_slot_bits_;
   std::atomic<int> slot_waiters_{0};  ///< parked threads; gates the notify
   std::mutex slot_mutex_;
   std::condition_variable slot_cv_;

@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/cpuid.h"
 #include "common/faultpoint.h"
 #include "obs/trace.h"
 
@@ -298,7 +299,7 @@ Result<ServerlessPlatform::Container*> ServerlessPlatform::ColdStart(
   container->last_used.store(clock_->Now(), std::memory_order_relaxed);
   Container* raw = container.get();
 
-  const uint32_t num_tcs = std::max<uint32_t>(1, spec.options.num_tcs);
+  const uint32_t num_tcs = spec.options.num_tcs;  // >= 1: Create checked it
   std::vector<uint32_t> slots;
   {
     std::lock_guard<std::mutex> lock(shard->mutex);
@@ -1190,6 +1191,16 @@ void ServerlessPlatform::RegisterMetrics(
           samples.push_back(obs::MakeGaugeSample(
               "sesemi_rt_interactive_depth",
               static_cast<double>(rt.interactive_depth), labels));
+        }
+
+        // Which kernel/crypto tier each primitive resolved to (info-style:
+        // the tier is the label, the value is always 1).
+        for (Primitive primitive : kAllPrimitives) {
+          auto tier_labels = with("primitive", PrimitiveName(primitive));
+          tier_labels.emplace_back("tier",
+                                   TierName(primitive, ResolveTier(primitive)));
+          samples.push_back(
+              obs::MakeGaugeSample("sesemi_dispatch_tier", 1, tier_labels));
         }
         return samples;
       });

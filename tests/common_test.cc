@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <mutex>
 #include <set>
 #include <string>
@@ -8,6 +9,7 @@
 
 #include "common/bytes.h"
 #include "common/clock.h"
+#include "common/cpuid.h"
 #include "common/logging.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -15,6 +17,103 @@
 
 namespace sesemi {
 namespace {
+
+// ---------------------------------------------------------- Tier resolver
+
+bool ForcedPortable() {
+  const char* force = std::getenv("SESEMI_FORCE_PORTABLE");
+  return force != nullptr && force[0] != '\0' && std::string(force) != "0";
+}
+
+// The widest tier each primitive's own CpuFeatures predicate allows,
+// restated independently of the resolver's table.
+Tier WidestByPredicate(Primitive primitive) {
+  const CpuFeatures& cpu = GetCpuFeatures();
+  switch (primitive) {
+    case Primitive::kAesGcm:
+      return cpu.VaesGcm() ? Tier::kWide
+             : cpu.AesniGcm() ? Tier::kHardware
+                              : Tier::kPortable;
+    case Primitive::kSha256:
+      return cpu.ShaNi() ? Tier::kHardware : Tier::kPortable;
+    case Primitive::kGemmF32:
+      return cpu.Avx2Fma() ? Tier::kHardware : Tier::kPortable;
+    case Primitive::kGemmInt8:
+      return cpu.Avx512Vnni() ? Tier::kWide
+             : cpu.Avx2Fma()  ? Tier::kHardware
+                              : Tier::kPortable;
+  }
+  return Tier::kPortable;
+}
+
+// kAuto is the widest tier the predicate allows, or portable for every
+// primitive when SESEMI_FORCE_PORTABLE is set (the forced-portable CI leg
+// runs this with the opposite default).
+TEST(TierResolverTest, AutoIsWidestAvailableOrPortableWhenForced) {
+  for (Primitive primitive : kAllPrimitives) {
+    const Tier want =
+        ForcedPortable() ? Tier::kPortable : WidestByPredicate(primitive);
+    EXPECT_EQ(ResolveTier(primitive), want) << PrimitiveName(primitive);
+    EXPECT_EQ(ResolveTier(primitive, Tier::kAuto), want);
+    EXPECT_TRUE(TierAvailable(primitive, want));
+  }
+}
+
+TEST(TierResolverTest, AvailabilityFollowsTheTable) {
+  const CpuFeatures& cpu = GetCpuFeatures();
+  for (Primitive primitive : kAllPrimitives) {
+    EXPECT_TRUE(TierAvailable(primitive, Tier::kAuto));
+    EXPECT_TRUE(TierAvailable(primitive, Tier::kPortable));
+  }
+  EXPECT_EQ(TierAvailable(Primitive::kAesGcm, Tier::kHardware), cpu.AesniGcm());
+  EXPECT_EQ(TierAvailable(Primitive::kAesGcm, Tier::kWide), cpu.VaesGcm());
+  EXPECT_EQ(TierAvailable(Primitive::kSha256, Tier::kHardware), cpu.ShaNi());
+  EXPECT_EQ(TierAvailable(Primitive::kGemmF32, Tier::kHardware), cpu.Avx2Fma());
+  EXPECT_EQ(TierAvailable(Primitive::kGemmInt8, Tier::kHardware),
+            cpu.Avx2Fma());
+  EXPECT_EQ(TierAvailable(Primitive::kGemmInt8, Tier::kWide), cpu.Avx512Vnni());
+  // Tiers a primitive does not have are never available.
+  EXPECT_FALSE(TierAvailable(Primitive::kSha256, Tier::kWide));
+  EXPECT_FALSE(TierAvailable(Primitive::kGemmF32, Tier::kWide));
+}
+
+// An explicit pin runs when available (also under SESEMI_FORCE_PORTABLE,
+// which only moves kAuto) and runs portable otherwise.
+TEST(TierResolverTest, UnavailablePinRunsPortable) {
+  for (Primitive primitive : kAllPrimitives) {
+    for (Tier tier : {Tier::kPortable, Tier::kHardware, Tier::kWide}) {
+      EXPECT_EQ(ResolveTier(primitive, tier),
+                TierAvailable(primitive, tier) ? tier : Tier::kPortable)
+          << PrimitiveName(primitive) << " " << TierName(primitive, tier);
+    }
+  }
+  EXPECT_EQ(ResolveTier(Primitive::kSha256, Tier::kWide), Tier::kPortable);
+  EXPECT_EQ(ResolveTier(Primitive::kAesGcm, static_cast<Tier>(7)),
+            Tier::kPortable);
+}
+
+TEST(TierResolverTest, NamesAndFixedValues) {
+  // Bench series names encode these values (BM_DenseInt8/.../{0,2,3}).
+  EXPECT_EQ(static_cast<int>(Tier::kAuto), 0);
+  EXPECT_EQ(static_cast<int>(Tier::kPortable), 1);
+  EXPECT_EQ(static_cast<int>(Tier::kHardware), 2);
+  EXPECT_EQ(static_cast<int>(Tier::kWide), 3);
+  EXPECT_STREQ(PrimitiveName(Primitive::kAesGcm), "aes_gcm");
+  EXPECT_STREQ(PrimitiveName(Primitive::kSha256), "sha256");
+  EXPECT_STREQ(PrimitiveName(Primitive::kGemmF32), "gemm_f32");
+  EXPECT_STREQ(PrimitiveName(Primitive::kGemmInt8), "gemm_int8");
+  EXPECT_STREQ(TierName(Primitive::kAesGcm, Tier::kHardware), "aesni");
+  EXPECT_STREQ(TierName(Primitive::kAesGcm, Tier::kWide), "vaes");
+  EXPECT_STREQ(TierName(Primitive::kSha256, Tier::kHardware), "sha-ni");
+  EXPECT_STREQ(TierName(Primitive::kGemmF32, Tier::kHardware), "avx2");
+  EXPECT_STREQ(TierName(Primitive::kGemmInt8, Tier::kWide), "avx512-vnni");
+  for (Primitive primitive : kAllPrimitives) {
+    EXPECT_STREQ(TierName(primitive, Tier::kAuto), "auto");
+    EXPECT_STREQ(TierName(primitive, Tier::kPortable), "portable");
+  }
+  EXPECT_STREQ(TierName(Primitive::kSha256, Tier::kWide), "none");
+  EXPECT_STREQ(TierName(Primitive::kGemmF32, static_cast<Tier>(7)), "none");
+}
 
 // ---------------------------------------------------------------- Status
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "crypto/aes.h"
@@ -25,6 +28,10 @@ struct GcmTestPeer {
 };
 
 namespace {
+
+bool ShaNiAvailable() {
+  return TierAvailable(Primitive::kSha256, Tier::kHardware);
+}
 
 std::string HashHex(ByteSpan data) {
   return HexEncode(Sha256::HashToBytes(data));
@@ -102,7 +109,7 @@ INSTANTIATE_TEST_SUITE_P(PaddingEdges, Sha256PaddingTest,
 // pinned-portable instances keep this meaningful on machines where the
 // default resolves to hardware (and vice versa under SESEMI_FORCE_PORTABLE).
 TEST(Sha256Test, HardwarePortableParity) {
-  if (!Sha256HardwareAvailable()) {
+  if (!ShaNiAvailable()) {
     GTEST_SKIP() << "CPU lacks the SHA extensions";
   }
   Rng rng(77);
@@ -110,8 +117,8 @@ TEST(Sha256Test, HardwarePortableParity) {
                             96, 127, 128, 129, 1000, 4096, 65536};
   for (size_t n : lengths) {
     Bytes data = rng.NextBytes(n);
-    Sha256 hw(CryptoBackend::kHardware);
-    Sha256 portable(CryptoBackend::kPortable);
+    Sha256 hw(Tier::kHardware);
+    Sha256 portable(Tier::kPortable);
     hw.Update(data);
     portable.Update(data);
     EXPECT_EQ(hw.Finish(), portable.Finish()) << "length " << n;
@@ -119,7 +126,7 @@ TEST(Sha256Test, HardwarePortableParity) {
 }
 
 TEST(Sha256Test, HardwarePortableParityStreaming) {
-  if (!Sha256HardwareAvailable()) {
+  if (!ShaNiAvailable()) {
     GTEST_SKIP() << "CPU lacks the SHA extensions";
   }
   // Irregular chunk feed: both backends must carry partial-block state the
@@ -127,8 +134,8 @@ TEST(Sha256Test, HardwarePortableParityStreaming) {
   // front of it is shared).
   Rng rng(78);
   Bytes data = rng.NextBytes(10000);
-  Sha256 hw(CryptoBackend::kHardware);
-  Sha256 portable(CryptoBackend::kPortable);
+  Sha256 hw(Tier::kHardware);
+  Sha256 portable(Tier::kPortable);
   size_t pos = 0;
   size_t sizes[] = {1, 63, 64, 65, 127, 128, 1000, 8552};
   for (size_t s : sizes) {
@@ -141,34 +148,30 @@ TEST(Sha256Test, HardwarePortableParityStreaming) {
 }
 
 TEST(Sha256Test, BackendSelectionFollowsProcessDispatch) {
-  // kAuto must agree with the process-wide decision: hardware when the
-  // crypto dispatch resolved to any hardware tier (AES-NI or VAES) AND the
-  // CPU has SHA-NI.
-  Sha256 h;
-  const bool expect_hw = ActiveCryptoBackend() != CryptoBackend::kPortable &&
-                         Sha256HardwareAvailable();
-  EXPECT_EQ(h.hardware(), expect_hw);
-  // Pinning portable always sticks; pinning a hardware tier sticks iff
-  // SHA-NI is available.
-  EXPECT_FALSE(Sha256(CryptoBackend::kPortable).hardware());
-  EXPECT_EQ(Sha256(CryptoBackend::kHardware).hardware(),
-            Sha256HardwareAvailable());
-  EXPECT_EQ(Sha256(CryptoBackend::kHardwareVaes).hardware(),
-            Sha256HardwareAvailable());
+  // kAuto must agree with the resolver's choice for SHA-256 itself, which
+  // does not depend on the AES-GCM tier.
+  EXPECT_EQ(Sha256().hardware(),
+            ResolveTier(Primitive::kSha256) == Tier::kHardware);
+  // Pinning portable always sticks; pinning hardware sticks iff SHA-NI is
+  // available; SHA-256 has no wide tier, so pinning one runs portable.
+  EXPECT_FALSE(Sha256(Tier::kPortable).hardware());
+  EXPECT_EQ(Sha256(Tier::kHardware).hardware(), ShaNiAvailable());
+  EXPECT_FALSE(Sha256(Tier::kWide).hardware());
 }
 
 TEST(Sha256Test, AutoUsesShaNiWhenAvailable) {
-  // Regression: the VAES tier once turned SHA-NI off because only
-  // kHardware counted as hardware. Unless the process is pinned portable,
-  // auto must never resolve to the portable rounds on a SHA-NI host.
-  if (!Sha256HardwareAvailable()) {
+  // Regression: the VAES tier once turned SHA-NI off because SHA-256 followed
+  // the AES-GCM tier. Unless the process is pinned portable, auto must never
+  // resolve to the portable rounds on a SHA-NI host.
+  if (!ShaNiAvailable()) {
     GTEST_SKIP() << "CPU lacks the SHA extensions";
   }
-  if (ActiveCryptoBackend() == CryptoBackend::kPortable) {
-    GTEST_SKIP() << "crypto dispatch pinned portable (SESEMI_FORCE_PORTABLE)";
+  const char* force = std::getenv("SESEMI_FORCE_PORTABLE");
+  if (force != nullptr && force[0] != '\0' && std::string(force) != "0") {
+    GTEST_SKIP() << "dispatch pinned portable (SESEMI_FORCE_PORTABLE)";
   }
   EXPECT_TRUE(Sha256().hardware());
-  EXPECT_TRUE(Sha256(CryptoBackend::kAuto).hardware());
+  EXPECT_TRUE(Sha256(Tier::kAuto).hardware());
 }
 
 // ---------------------------------------------------------------- HMAC
@@ -555,14 +558,12 @@ const GcmKat kGcmKats[] = {
      "76fc6ece0f4e1768cddf8853bb2d551b"},
 };
 
-class GcmBackendTest : public ::testing::TestWithParam<CryptoBackend> {
+class GcmBackendTest : public ::testing::TestWithParam<Tier> {
  protected:
   void SetUp() override {
-    if (GetParam() == CryptoBackend::kHardware && !HardwareCryptoAvailable()) {
-      GTEST_SKIP() << "AES-NI/PCLMUL not available on this machine";
-    }
-    if (GetParam() == CryptoBackend::kHardwareVaes && !VaesCryptoAvailable()) {
-      GTEST_SKIP() << "VAES/VPCLMULQDQ/AVX-512 not available on this machine";
+    if (!TierAvailable(Primitive::kAesGcm, GetParam())) {
+      GTEST_SKIP() << TierName(Primitive::kAesGcm, GetParam())
+                   << " not available on this machine";
     }
   }
 };
@@ -587,31 +588,40 @@ TEST_P(GcmBackendTest, NistCavpVectors) {
 TEST_P(GcmBackendTest, BackendMatchesRequest) {
   auto gcm = AesGcm::Create(Bytes(16, 0), GetParam());
   ASSERT_TRUE(gcm.ok());
-  EXPECT_EQ(gcm->hardware(), GetParam() != CryptoBackend::kPortable);
-  EXPECT_EQ(gcm->vaes(), GetParam() == CryptoBackend::kHardwareVaes);
+  EXPECT_EQ(gcm->hardware(), GetParam() != Tier::kPortable);
+  EXPECT_EQ(gcm->vaes(), GetParam() == Tier::kWide);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, GcmBackendTest,
-                         ::testing::Values(CryptoBackend::kPortable,
-                                           CryptoBackend::kHardware,
-                                           CryptoBackend::kHardwareVaes),
-                         [](const ::testing::TestParamInfo<CryptoBackend>& info) {
-                           std::string name = ToString(info.param);
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
+                         ::testing::Values(Tier::kPortable, Tier::kHardware,
+                                           Tier::kWide),
+                         [](const ::testing::TestParamInfo<Tier>& info) {
+                           return std::string(
+                               TierName(Primitive::kAesGcm, info.param));
                          });
 
+// Every pin succeeds, and hardware()/vaes() report the tier that actually
+// runs: an unavailable pin runs (and reports) portable.
+TEST(AesBackendTest, PinReportsResolvedTier) {
+  for (Tier tier :
+       {Tier::kAuto, Tier::kPortable, Tier::kHardware, Tier::kWide}) {
+    auto gcm = AesGcm::Create(Bytes(16, 0), tier);
+    ASSERT_TRUE(gcm.ok()) << TierName(Primitive::kAesGcm, tier);
+    const Tier runs = ResolveTier(Primitive::kAesGcm, tier);
+    EXPECT_EQ(gcm->hardware(), runs != Tier::kPortable);
+    EXPECT_EQ(gcm->vaes(), runs == Tier::kWide);
+  }
+}
+
 TEST(AesBackendTest, HardwareBlocksMatchTtables) {
-  if (!HardwareCryptoAvailable()) {
+  if (!TierAvailable(Primitive::kAesGcm, Tier::kHardware)) {
     GTEST_SKIP() << "AES-NI not available on this machine";
   }
   Rng rng(321);
   for (size_t key_size : {size_t{16}, size_t{32}}) {
     Bytes key = rng.NextBytes(key_size);
-    auto sw = Aes::Create(key, CryptoBackend::kPortable);
-    auto hw = Aes::Create(key, CryptoBackend::kHardware);
+    auto sw = Aes::Create(key, Tier::kPortable);
+    auto hw = Aes::Create(key, Tier::kHardware);
     ASSERT_TRUE(sw.ok());
     ASSERT_TRUE(hw.ok());
     EXPECT_FALSE(sw->hardware());
@@ -646,7 +656,7 @@ TEST(AesBackendTest, HardwareBlocksMatchTtables) {
 }
 
 TEST(GcmBackendTest2, RandomizedHardwarePortableParity) {
-  if (!HardwareCryptoAvailable()) {
+  if (!TierAvailable(Primitive::kAesGcm, Tier::kHardware)) {
     GTEST_SKIP() << "AES-NI/PCLMUL not available on this machine";
   }
   // Random key/nonce/AAD/plaintext over lengths 0..4096 (biased toward the
@@ -661,8 +671,8 @@ TEST(GcmBackendTest2, RandomizedHardwarePortableParity) {
       Bytes nonce = rng.NextBytes(12);
       Bytes aad = rng.NextBytes(rng.UniformUint64(65));
       Bytes pt = rng.NextBytes(len);
-      auto sw = AesGcm::Create(key, CryptoBackend::kPortable);
-      auto hw = AesGcm::Create(key, CryptoBackend::kHardware);
+      auto sw = AesGcm::Create(key, Tier::kPortable);
+      auto hw = AesGcm::Create(key, Tier::kHardware);
       ASSERT_TRUE(sw.ok());
       ASSERT_TRUE(hw.ok());
 
@@ -690,14 +700,14 @@ TEST(GcmBackendTest2, RandomizedHardwarePortableParity) {
 }
 
 TEST(AesBackendTest, VaesBlocks16MatchAesni) {
-  if (!VaesCryptoAvailable()) {
+  if (!TierAvailable(Primitive::kAesGcm, Tier::kWide)) {
     GTEST_SKIP() << "VAES/AVX-512 not available on this machine";
   }
   Rng rng(777);
   for (size_t key_size : {size_t{16}, size_t{32}}) {
     Bytes key = rng.NextBytes(key_size);
-    auto aesni = Aes::Create(key, CryptoBackend::kHardware);
-    auto vaes = Aes::Create(key, CryptoBackend::kHardwareVaes);
+    auto aesni = Aes::Create(key, Tier::kHardware);
+    auto vaes = Aes::Create(key, Tier::kWide);
     ASSERT_TRUE(aesni.ok());
     ASSERT_TRUE(vaes.ok());
     EXPECT_FALSE(aesni->vaes());
@@ -714,7 +724,7 @@ TEST(AesBackendTest, VaesBlocks16MatchAesni) {
 }
 
 TEST(GcmBackendTest2, VaesMatchesAesniAndPortable) {
-  if (!VaesCryptoAvailable()) {
+  if (!TierAvailable(Primitive::kAesGcm, Tier::kWide)) {
     GTEST_SKIP() << "VAES/VPCLMULQDQ/AVX-512 not available on this machine";
   }
   // Lengths biased around the 256-byte VAES batch boundary and the 128-byte
@@ -729,9 +739,9 @@ TEST(GcmBackendTest2, VaesMatchesAesniAndPortable) {
     Bytes nonce = rng.NextBytes(12);
     Bytes aad = rng.NextBytes(rng.UniformUint64(129));
     Bytes pt = rng.NextBytes(len);
-    auto sw = AesGcm::Create(key, CryptoBackend::kPortable);
-    auto hw = AesGcm::Create(key, CryptoBackend::kHardware);
-    auto wide = AesGcm::Create(key, CryptoBackend::kHardwareVaes);
+    auto sw = AesGcm::Create(key, Tier::kPortable);
+    auto hw = AesGcm::Create(key, Tier::kHardware);
+    auto wide = AesGcm::Create(key, Tier::kWide);
     ASSERT_TRUE(sw.ok());
     ASSERT_TRUE(hw.ok());
     ASSERT_TRUE(wide.ok());
@@ -781,7 +791,7 @@ TEST(GcmTest, CounterWrapNear2To32MatchesBlockwiseReference) {
 
     // Blockwise reference: single-block encryptions with a hand-maintained
     // wrapping counter (independent of the batch counter arithmetic).
-    auto aes = Aes::Create(key, CryptoBackend::kPortable);
+    auto aes = Aes::Create(key, Tier::kPortable);
     ASSERT_TRUE(aes.ok());
     Bytes expected(len);
     uint32_t ctr = 0xfffffffd;
@@ -798,23 +808,26 @@ TEST(GcmTest, CounterWrapNear2To32MatchesBlockwiseReference) {
       for (size_t i = 0; i < take; ++i) expected[off + i] = pt[off + i] ^ ks[i];
     }
 
-    std::vector<CryptoBackend> backends = {CryptoBackend::kPortable};
-    if (HardwareCryptoAvailable()) backends.push_back(CryptoBackend::kHardware);
-    if (VaesCryptoAvailable()) backends.push_back(CryptoBackend::kHardwareVaes);
+    std::vector<Tier> backends = {Tier::kPortable};
+    for (Tier tier : {Tier::kHardware, Tier::kWide}) {
+      if (TierAvailable(Primitive::kAesGcm, tier)) backends.push_back(tier);
+    }
     Bytes first_y;
-    for (CryptoBackend backend : backends) {
+    for (Tier backend : backends) {
       auto gcm = AesGcm::Create(key, backend);
       ASSERT_TRUE(gcm.ok());
       Bytes out(len);
       uint8_t y[16] = {0};
       GcmTestPeer::CtrCryptAndHash(*gcm, j0, pt, out.data(), y,
                                    /*hash_output=*/true);
-      EXPECT_EQ(out, expected) << ToString(backend) << " key " << key_size;
+      EXPECT_EQ(out, expected)
+          << TierName(Primitive::kAesGcm, backend) << " key " << key_size;
       // GHASH accumulators must agree across backends too.
       if (first_y.empty()) {
         first_y = Bytes(y, y + 16);
       } else {
-        EXPECT_EQ(Bytes(y, y + 16), first_y) << ToString(backend);
+        EXPECT_EQ(Bytes(y, y + 16), first_y)
+            << TierName(Primitive::kAesGcm, backend);
       }
     }
   }

@@ -20,6 +20,7 @@
 
 #include "client/clients.h"
 #include "cluster/cluster.h"
+#include "common/cpuid.h"
 #include "common/faultpoint.h"
 #include "keyservice/keyservice.h"
 #include "model/zoo.h"
@@ -768,6 +769,14 @@ TEST_F(ObsLiveTest, PlatformMetricsSurfaceInRegistry) {
   EXPECT_NE(text.find("sesemi_sched_dispatched_total{node=\"7\"} 1"),
             std::string::npos)
       << text;
+  // One dispatch-tier gauge per primitive, naming the tier it resolved to.
+  for (Primitive primitive : kAllPrimitives) {
+    const std::string line =
+        std::string("sesemi_dispatch_tier{node=\"7\",primitive=\"") +
+        PrimitiveName(primitive) + "\",tier=\"" +
+        TierName(primitive, ResolveTier(primitive)) + "\"} 1";
+    EXPECT_NE(text.find(line), std::string::npos) << line << "\n" << text;
+  }
 }
 
 }  // namespace

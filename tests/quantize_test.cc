@@ -20,7 +20,6 @@ namespace sesemi::inference {
 namespace {
 
 using gemm::ActQuant;
-using gemm::GemmIsa;
 using model::Architecture;
 using model::ModelGraph;
 using model::ModelQuant;
@@ -118,16 +117,16 @@ TEST_P(Int8GemmParityTest, AllTiersMatchReferenceBitwise) {
               w_scales.data(), colsums.data(), bias.data(), want.data(), p.m,
               p.n, p.k);
 
-  for (GemmIsa isa : {GemmIsa::kPortable, GemmIsa::kAvx2, GemmIsa::kAvx512Vnni}) {
-    if (!gemm::GemmIsaAvailable(isa)) continue;
+  for (Tier tier : {Tier::kPortable, Tier::kHardware, Tier::kWide}) {
+    if (!TierAvailable(Primitive::kGemmInt8, tier)) continue;
     std::vector<float> got(want.size(), -1.0f);
     gemm::GemmInt8Prepacked(a.data(), k4, a_scales.data(), a_zps.data(),
                             packed.data(), w_scales.data(), colsums.data(),
-                            bias.data(), got.data(), p.m, p.n, p.k, isa);
+                            bias.data(), got.data(), p.m, p.n, p.k, tier);
     EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
                              want.size() * sizeof(float)))
-        << gemm::ToString(isa) << " diverges on " << p.m << "x" << p.n << "x"
-        << p.k;
+        << TierName(Primitive::kGemmInt8, tier) << " diverges on " << p.m
+        << "x" << p.n << "x" << p.k;
   }
 }
 
@@ -161,17 +160,18 @@ TEST(Int8GemmEdgeTest, ExtremeOperandsStayExact) {
   std::vector<int8_t> packed(gemm::PackedBInt8Bytes(k, n));
   gemm::PackBInt8(b.data(), k, n, packed.data());
 
-  for (GemmIsa isa : {GemmIsa::kPortable, GemmIsa::kAvx2, GemmIsa::kAvx512Vnni}) {
-    if (!gemm::GemmIsaAvailable(isa)) continue;
+  for (Tier tier : {Tier::kPortable, Tier::kHardware, Tier::kWide}) {
+    if (!TierAvailable(Primitive::kGemmInt8, tier)) continue;
     std::vector<float> got(static_cast<size_t>(m) * n);
     gemm::GemmInt8Prepacked(a.data(), k, a_scales.data(), a_zps.data(),
                             packed.data(), w_scales.data(), colsums.data(),
-                            nullptr, got.data(), m, n, k, isa);
+                            nullptr, got.data(), m, n, k, tier);
     for (int i = 0; i < m; ++i) {
       for (int j = 0; j < n; ++j) {
         const float want = (j % 2 == 0 ? 1.0f : -1.0f) * 127.0f * 127.0f * k;
         EXPECT_EQ(got[static_cast<size_t>(i) * n + j], want)
-            << gemm::ToString(isa) << " at " << i << "," << j;
+            << TierName(Primitive::kGemmInt8, tier) << " at " << i << ","
+            << j;
       }
     }
   }
@@ -232,14 +232,15 @@ TEST(QuantizeActivationsTest, AllZeroInputIsStable) {
   for (uint8_t v : q) EXPECT_EQ(v, aq.zero_point);
 }
 
-TEST(GemmIsaTest, NamesAndAvailability) {
-  EXPECT_STREQ(gemm::ToString(GemmIsa::kPortable), "portable");
-  EXPECT_STREQ(gemm::ToString(GemmIsa::kAvx2), "avx2");
-  EXPECT_STREQ(gemm::ToString(GemmIsa::kAvx512Vnni), "avx512-vnni");
-  EXPECT_TRUE(gemm::GemmIsaAvailable(GemmIsa::kPortable));
-  EXPECT_TRUE(gemm::GemmIsaAvailable(GemmIsa::kAuto));
+TEST(Int8TierTest, NamesAndAvailability) {
+  EXPECT_STREQ(TierName(Primitive::kGemmInt8, Tier::kPortable), "portable");
+  EXPECT_STREQ(TierName(Primitive::kGemmInt8, Tier::kHardware), "avx2");
+  EXPECT_STREQ(TierName(Primitive::kGemmInt8, Tier::kWide), "avx512-vnni");
+  EXPECT_TRUE(TierAvailable(Primitive::kGemmInt8, Tier::kPortable));
+  EXPECT_TRUE(TierAvailable(Primitive::kGemmInt8, Tier::kAuto));
   // The active tier must itself be available.
-  EXPECT_TRUE(gemm::GemmIsaAvailable(gemm::ActiveGemmIsa()));
+  EXPECT_TRUE(
+      TierAvailable(Primitive::kGemmInt8, ResolveTier(Primitive::kGemmInt8)));
 }
 
 // ------------------------------------------------------------ weight quant

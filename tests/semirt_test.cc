@@ -297,6 +297,45 @@ TEST_F(SemirtTest, NativeModeRelaunchesEnclave) {
   EXPECT_EQ(stats.key_fetches, 2);  // fresh enclave implies fresh attestation
 }
 
+TEST_F(SemirtTest, NativeRelaunchKeepsOneKeyServiceSession) {
+  // Each Native request relaunches the enclave and attests again; the link
+  // it replaces must close its session, so the instance holds exactly one
+  // session at any time and none once it is destroyed. (The fixture's
+  // KeyServiceClient holds its own session: the baseline.)
+  SemirtOptions options;
+  options.mode = RuntimeMode::kNative;
+  Authorize("m0", options);
+  const size_t baseline = keyservice_->active_sessions();
+  auto instance = MakeInstance(options);
+  ASSERT_TRUE(instance.ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(RunRequest(instance->get(), "m0").ok());
+    EXPECT_EQ(keyservice_->active_sessions(), baseline + 1) << "request " << i;
+  }
+  EXPECT_EQ(instance->get()->stats().key_fetches, 5);
+  instance->reset();
+  EXPECT_EQ(keyservice_->active_sessions(), baseline);
+}
+
+TEST_F(SemirtTest, RejectsTcsCountOutsideSlotMask) {
+  // The free-slot mask has one bit per TCS: 0 slots would park every
+  // request forever, and more than 64 do not fit.
+  for (uint32_t tcs : {0u, SemirtInstance::kMaxTcs + 1}) {
+    SemirtOptions options;
+    options.num_tcs = tcs;
+    auto instance = MakeInstance(options);
+    ASSERT_FALSE(instance.ok()) << tcs;
+    EXPECT_TRUE(instance.status().IsInvalidArgument())
+        << instance.status().ToString();
+  }
+  SemirtOptions widest;
+  widest.num_tcs = SemirtInstance::kMaxTcs;
+  Authorize("m0", widest);
+  auto instance = MakeInstance(widest);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  EXPECT_TRUE(RunRequest(instance->get(), "m0").ok());
+}
+
 TEST_F(SemirtTest, UntrustedModeRunsPlaintext) {
   SemirtOptions options;
   options.mode = RuntimeMode::kUntrusted;
