@@ -4,9 +4,10 @@
 // BENCH_cluster.json artifact (schema in docs/BENCHMARKS.md):
 //  (a) replay    — per-node inv/s, steal rate, home-hit rate, placement
 //                  skew, p50/p99 latency;
-//  (b) simparity — the same trace through sim/cluster with a cost model
-//                  calibrated from (a)'s measured stages: throughput and
-//                  mean-latency band ratios vs the real run;
+//  (b) simparity — the same trace through sim/cluster: decisions (container,
+//                  cold/warm/hot) against (a)'s in (a)'s recorded token
+//                  order, then a cost model calibrated from (a)'s measured
+//                  stages: throughput and mean-latency band ratios;
 //  (c) autoscale — stats-driven scale-up from a real scheduler backlog and
 //                  scale-down when idle, against a standby pool.
 //
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -175,18 +177,30 @@ void ReplayAndParitySections() {
   sim::SimConfig sim_config;
   sim_config.num_nodes = kNodes;
   sim_config.cost_model = sim::CostModel::Calibrated(calibration);
-  sim::ClusterSim sim(sim_config);
-  for (int i = 0; i < kTenants; ++i) {
-    sim::SimFunction fn;
-    fn.name = ClusterRig::Function(i);
-    sim.AddFunction(fn);
-    (void)sim.Prewarm(fn.name, 1, "t" + std::to_string(i),
-                      "u" + std::to_string(i));
+  auto prewarmed_sim = [&sim_config] {
+    auto sim = std::make_unique<sim::ClusterSim>(sim_config);
+    for (int i = 0; i < kTenants; ++i) {
+      sim::SimFunction fn;
+      fn.name = ClusterRig::Function(i);
+      sim->AddFunction(fn);
+      (void)sim->Prewarm(fn.name, 1, "t" + std::to_string(i),
+                         "u" + std::to_string(i));
+    }
+    return sim;
+  };
+  auto function_of = [](const workload::Arrival& arrival) {
+    return ClusterRig::Function(TenantOf(arrival));
+  };
+  cluster::SimReplayResult simulated =
+      cluster::ReplayTraceOnSim(prewarmed_sim().get(), trace, function_of);
+  cluster::SimReplayResult decided = cluster::ReplayDecisionsOnSim(
+      prewarmed_sim().get(), trace, function_of, real);
+  bool decisions_match = decided.decisions.size() == real.decisions.size();
+  for (size_t i = 0; decisions_match && i < real.decisions.size(); ++i) {
+    decisions_match = decided.decisions[i].function == real.decisions[i].function &&
+                      decided.decisions[i].container == real.decisions[i].container &&
+                      decided.decisions[i].kind == real.decisions[i].kind;
   }
-  cluster::SimReplayResult simulated = cluster::ReplayTraceOnSim(
-      &sim, trace, [](const workload::Arrival& arrival) {
-        return ClusterRig::Function(TenantOf(arrival));
-      });
 
   auto band = [](double a, double b) {
     a = std::max(a, 1e-6);
@@ -196,17 +210,19 @@ void ReplayAndParitySections() {
   std::printf(
       "{\"bench\":\"cluster\",\"section\":\"simparity\",\"submitted\":%zu,"
       "\"real_ok\":%zu,\"sim_completed\":%zu,\"counts_match\":%s,"
-      "\"real_rps\":%.1f,\"sim_rps\":%.1f,\"rps_band\":%.2f,"
+      "\"decisions_match\":%s,\"real_cold_starts\":%zu,"
+      "\"sim_cold_starts\":%zu,\"real_rps\":%.1f,\"sim_rps\":%.1f,\"rps_band\":%.2f,"
       "\"real_mean_ms\":%.3f,\"sim_mean_ms\":%.3f,\"latency_band\":%.2f}\n",
       real.submitted, real.ok, simulated.completed,
       real.completions == simulated.completions ? "true" : "false",
+      decisions_match ? "true" : "false", real.cold_starts, decided.cold_starts,
       real.throughput_rps, simulated.throughput_rps,
       band(real.throughput_rps, simulated.throughput_rps),
       real.mean_latency_s * 1e3, simulated.mean_latency_s * 1e3,
       band(real.mean_latency_s, simulated.mean_latency_s));
   std::printf(
-      "(shape check: counts_match true; bands well inside the documented 3x\n"
-      " sim-parity tolerance — see docs/BENCHMARKS.md)\n");
+      "(shape check: counts_match and decisions_match true; bands well inside\n"
+      " the documented 3x sim-parity tolerance — see docs/BENCHMARKS.md)\n");
 }
 
 void AutoscaleSection() {

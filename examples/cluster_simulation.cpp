@@ -27,8 +27,10 @@ int main() {
     sim::SimConfig config;
     config.num_nodes = 8;
     config.cost_model = sim::CostModel::PaperSgx2();
-    // Keep total enclave threads per node at the core count (§VI-C).
-    uint64_t container_memory = (256ull << 20) + (tcs - 1) * (64ull << 20);
+    // Keep total enclave threads per node at the core count (§VI-C), with
+    // containers charged in the platform's 128 MB steps.
+    uint64_t container_memory = serverless::policy::ContainerBytes(
+        (256ull << 20) + (tcs - 1) * (64ull << 20));
     config.invoker_memory_bytes =
         static_cast<uint64_t>(
             std::max(1, config.cost_model.cores_per_node() / tcs)) *

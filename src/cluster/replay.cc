@@ -4,14 +4,14 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <tuple>
 #include <thread>
 
 namespace sesemi::cluster {
 
 namespace {
 
-double Percentile(std::vector<double> sorted, double p) {
-  if (sorted.empty()) return 0;
+double Percentile(const std::vector<double>& sorted, double p) {
   const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const size_t lo = static_cast<size_t>(rank);
   const size_t hi = std::min(lo + 1, sorted.size() - 1);
@@ -19,51 +19,52 @@ double Percentile(std::vector<double> sorted, double p) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
+
 }  // namespace
 
 ReplayResult ReplayTrace(ClusterDataplane* cluster,
                          const std::vector<workload::Arrival>& trace,
-                         const ArrivalBinder& binder, const ReplaySpec& spec) {
+                         const ArrivalBinder& binder) {
   ReplayResult result;
   if (trace.empty()) return result;
 
   struct Pending {
+    size_t index;
     std::string function;
     std::future<serverless::InvocationResult> future;
   };
   std::vector<Pending> pending;
   pending.reserve(trace.size());
+  result.decisions.resize(trace.size());
+  result.orders.resize(trace.size());
 
   const auto start = std::chrono::steady_clock::now();
   const TimeMicros base = trace.front().time;
   for (size_t i = 0; i < trace.size(); ++i) {
     const workload::Arrival& arrival = trace[i];
-    if (spec.time_scale > 0) {
-      const double offset_us =
-          static_cast<double>(arrival.time - base) * spec.time_scale;
-      std::this_thread::sleep_until(
-          start + std::chrono::microseconds(static_cast<int64_t>(offset_us)));
-    }
+    std::this_thread::sleep_until(start +
+                                  std::chrono::microseconds(arrival.time - base));
     Result<BoundArrival> bound = binder(arrival, i);
     if (!bound.ok()) {
       result.errors[bound.status().code()]++;
       continue;
     }
     result.submitted++;
-    pending.push_back(Pending{bound->function,
+    pending.push_back(Pending{i, bound->function,
                               cluster->InvokeAsync(bound->function,
-                                                   std::move(bound->request),
-                                                   spec.options)});
+                                                   std::move(bound->request))});
   }
 
   std::vector<double> latencies;
   latencies.reserve(pending.size());
-  double hot_exec_sum = 0;
   double hot_total_sum = 0;
   size_t hot_n = 0;
-  double cold_key = 0, cold_load = 0, cold_init = 0, cold_exec = 0;
+  double cold_key = 0, cold_load = 0, cold_init = 0;
   for (Pending& p : pending) {
     serverless::InvocationResult out = p.future.get();
+    result.decisions[p.index] = {p.function, out.container, out.node,
+                                 out.timings.kind};
+    result.orders[p.index] = out.order;
     if (!out.response.ok()) {
       result.errors[out.response.status().code()]++;
       continue;
@@ -78,9 +79,7 @@ ReplayResult ReplayTrace(ClusterDataplane* cluster,
       cold_key += MicrosToSeconds(out.timings.key_fetch);
       cold_load += MicrosToSeconds(out.timings.model_load);
       cold_init += MicrosToSeconds(out.timings.runtime_init);
-      cold_exec += MicrosToSeconds(out.timings.execute);
     } else {
-      hot_exec_sum += MicrosToSeconds(out.timings.execute);
       hot_total_sum += MicrosToSeconds(out.timings.total);
       hot_n++;
     }
@@ -100,7 +99,6 @@ ReplayResult ReplayTrace(ClusterDataplane* cluster,
     result.p99_latency_s = Percentile(latencies, 99);
   }
   if (hot_n > 0) {
-    result.mean_hot_execute_s = hot_exec_sum / static_cast<double>(hot_n);
     result.mean_hot_total_s = hot_total_sum / static_cast<double>(hot_n);
   }
   if (result.cold_starts > 0) {
@@ -108,7 +106,6 @@ ReplayResult ReplayTrace(ClusterDataplane* cluster,
     result.mean_cold_key_fetch_s = cold_key / n;
     result.mean_cold_model_load_s = cold_load / n;
     result.mean_cold_runtime_init_s = cold_init / n;
-    result.mean_cold_execute_s = cold_exec / n;
   }
   return result;
 }
@@ -126,30 +123,80 @@ SimReplayResult ReplayTraceOnSim(
   }
   sim->Run();
 
-  const auto& records = sim->metrics().records();
-  std::vector<double> latencies;
-  latencies.reserve(records.size());
+  const sim::Metrics& metrics = sim->metrics();
   TimeMicros first_submit = trace.front().time;
   TimeMicros last_complete = first_submit;
-  for (const sim::RequestRecord& record : records) {
+  for (const sim::RequestRecord& record : metrics.records()) {
     result.completed++;
     result.completions[record.function]++;
-    latencies.push_back(MicrosToSeconds(record.latency()));
     last_complete = std::max(last_complete, record.complete);
   }
-  if (!latencies.empty()) {
-    double sum = 0;
-    for (double l : latencies) sum += l;
-    result.mean_latency_s = sum / static_cast<double>(latencies.size());
-    std::sort(latencies.begin(), latencies.end());
-    result.p50_latency_s = Percentile(latencies, 50);
-    result.p99_latency_s = Percentile(latencies, 99);
-  }
+  result.cold_starts = metrics.CountKind(semirt::InvocationKind::kCold);
+  result.mean_latency_s = metrics.AvgLatencySeconds();
+  result.p50_latency_s = metrics.PercentileLatencySeconds(50);
+  result.p99_latency_s = metrics.PercentileLatencySeconds(99);
   result.makespan_s = MicrosToSeconds(last_complete - first_submit);
   result.throughput_rps =
       result.makespan_s > 0
           ? static_cast<double>(result.completed) / result.makespan_s
           : 0;
+  return result;
+}
+
+SimReplayResult ReplayDecisionsOnSim(
+    sim::ClusterSim* sim, const std::vector<workload::Arrival>& trace,
+    const std::function<std::string(const workload::Arrival&)>& function_of,
+    const ReplayResult& real) {
+  enum class Step { kAcquire, kLaunch, kRelease };
+  struct Event {
+    std::string function;
+    uint64_t position;
+    int container;  ///< live ordinal: orders cold starts that read one tag
+    size_t request;
+    Step step;
+  };
+  std::vector<Event> events;
+  for (size_t i = 0; i < trace.size() && i < real.orders.size(); ++i) {
+    const serverless::TokenOrder& order = real.orders[i];
+    if (order.acquire == 0) continue;  // never reached a container live
+    const std::string function = function_of(trace[i]);
+    const int container = real.decisions[i].container;
+    events.push_back({function, order.acquire, container, i, Step::kAcquire});
+    if (order.launch != 0) {
+      events.push_back({function, order.launch, container, i, Step::kLaunch});
+    }
+    if (order.release != 0) {
+      events.push_back({function, order.release, container, i, Step::kRelease});
+    }
+  }
+  // Functions one after another: they share only node memory, and the live
+  // cluster gives each node its own memory, so no order between them is
+  // recorded.
+  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+    return std::tie(a.function, a.position, a.container) <
+           std::tie(b.function, b.position, b.container);
+  });
+
+  SimReplayResult result;
+  result.decisions.resize(trace.size());
+  std::vector<sim::ClusterSim::Grant> grants(trace.size());
+  for (const Event& event : events) {
+    const workload::Arrival& arrival = trace[event.request];
+    sim::ClusterSim::Grant& grant = grants[event.request];
+    if (event.step == Step::kAcquire) {
+      grant = sim->Acquire(event.function, arrival.model_id, arrival.user_id);
+      result.submitted++;
+      if (grant.container < 0) continue;
+      result.decisions[event.request] = grant.decision;
+      result.cold_starts += grant.decision.kind == semirt::InvocationKind::kCold;
+    } else if (grant.container >= 0 && event.step == Step::kLaunch) {
+      sim->Launched(grant.container);
+    } else if (grant.container >= 0) {
+      sim->Release(grant.container, grant.slot);
+      result.completed++;
+      result.completions[event.function]++;
+    }
+  }
   return result;
 }
 

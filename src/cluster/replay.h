@@ -9,6 +9,7 @@
 
 #include "cluster/cluster.h"
 #include "common/result.h"
+#include "serverless/policy.h"
 #include "sim/cluster.h"
 #include "workload/generators.h"
 
@@ -17,9 +18,9 @@ namespace sesemi::cluster {
 /// \file
 /// Deterministic traffic replay: feed the *same* seeded workload trace
 /// (workload/generators.h) to the real multi-node dataplane and to the
-/// discrete-event simulator, producing comparable result summaries. This is
-/// the differential harness's substrate (tests/cluster_sim_parity_test.cc)
-/// and bench_cluster's driver.
+/// discrete-event simulator, producing comparable result summaries and
+/// per-request decision logs. This is the differential harness's substrate
+/// (tests/cluster_sim_parity_test.cc) and what bench_cluster runs.
 
 /// An arrival bound to its target: which deployed function it invokes and
 /// the concrete (sealed) request it carries.
@@ -34,14 +35,6 @@ struct BoundArrival {
 /// Returning an error skips the arrival (counted in ReplayResult::errors).
 using ArrivalBinder =
     std::function<Result<BoundArrival>(const workload::Arrival&, size_t index)>;
-
-struct ReplaySpec {
-  /// Multiply every arrival offset by this before pacing against the wall
-  /// clock. 1.0 replays in trace time; 0 submits as fast as possible while
-  /// preserving trace order (closed-loop stress).
-  double time_scale = 1.0;
-  serverless::InvokeOptions options;
-};
 
 /// Summary of one replay against the real dataplane. Latency is measured
 /// per request as scheduler queue wait + pipeline stage total, so it is
@@ -60,22 +53,24 @@ struct ReplayResult {
   /// Measured stage means for sim::CostModel::Calibrated: hot-path execute
   /// and the cold-start stages (zero when no sample of that kind occurred).
   size_t cold_starts = 0;
-  double mean_hot_execute_s = 0;
   double mean_hot_total_s = 0;  ///< full warm-path stage sum (execute + crypto)
   double mean_cold_key_fetch_s = 0;
   double mean_cold_model_load_s = 0;
   double mean_cold_runtime_init_s = 0;
-  double mean_cold_execute_s = 0;
+  /// Per trace position: the request's warm-pool decision (container -1 when
+  /// it was skipped or never acquired one) and where its token events fell
+  /// in its function's freelist order.
+  std::vector<serverless::policy::Decision> decisions;
+  std::vector<serverless::TokenOrder> orders;
 };
 
 /// Replay `trace` open-loop against `cluster`: submissions are paced to the
-/// trace's arrival times (scaled by spec.time_scale) and every future is
-/// collected before returning. Deterministic given a deterministic trace and
-/// binder: the submission *order* is exactly the trace order.
+/// trace's arrival times and every future is collected before returning.
+/// Deterministic given a deterministic trace and binder: the submission
+/// *order* is exactly the trace order.
 ReplayResult ReplayTrace(ClusterDataplane* cluster,
                          const std::vector<workload::Arrival>& trace,
-                         const ArrivalBinder& binder,
-                         const ReplaySpec& spec = {});
+                         const ArrivalBinder& binder);
 
 /// Summary of one replay against the simulator (virtual time).
 struct SimReplayResult {
@@ -87,6 +82,10 @@ struct SimReplayResult {
   double p99_latency_s = 0;
   double makespan_s = 0;        ///< first submit -> last completion
   double throughput_rps = 0;    ///< completed / makespan
+  size_t cold_starts = 0;       ///< requests classified cold
+  /// Per trace position, as in ReplayResult::decisions (ReplayDecisionsOnSim
+  /// only).
+  std::vector<serverless::policy::Decision> decisions;
 };
 
 /// Replay the same trace through sim::ClusterSim. `function_of` maps an
@@ -96,6 +95,19 @@ struct SimReplayResult {
 SimReplayResult ReplayTraceOnSim(
     sim::ClusterSim* sim, const std::vector<workload::Arrival>& trace,
     const std::function<std::string(const workload::Arrival&)>& function_of);
+
+/// Drive the simulator's policy steps (ClusterSim::Acquire / Launched /
+/// Release) in the order the live replay `real` recorded instead of by
+/// virtual time: per function, every token event is applied in freelist
+/// order. The
+/// decisions then depend on the live interleaving only, not on wall-clock
+/// or simulated latency, so they can be compared with real.decisions
+/// element by element. Latency fields stay 0. Assumes unbatched dispatch
+/// (a coalesced batch shares one token).
+SimReplayResult ReplayDecisionsOnSim(
+    sim::ClusterSim* sim, const std::vector<workload::Arrival>& trace,
+    const std::function<std::string(const workload::Arrival&)>& function_of,
+    const ReplayResult& real);
 
 }  // namespace sesemi::cluster
 

@@ -7,13 +7,39 @@
 #include "common/faultpoint.h"
 #include "model/format.h"
 #include "obs/trace.h"
+#include "serverless/policy.h"
 
 namespace sesemi::semirt {
+
+namespace policy = serverless::policy;
 
 namespace {
 /// Cooperative deadline cut between stages (never mid-inference).
 Status CheckDeadline(const ExecDeadline* deadline, const char* stage) {
   return deadline == nullptr ? Status::OK() : deadline->Check(stage);
+}
+
+/// The enclave image of a deployment of `options`: the runtime core, the
+/// inference framework, the expected KeyService identity (Appendix A), and
+/// the execution-restriction configuration (§V) — but never model weights or
+/// keys.
+sgx::EnclaveImage ImageFor(const SemirtOptions& options) {
+  std::vector<std::pair<std::string, Bytes>> units = {
+      {"semirt-core", ToBytes("sesemi semirt runtime v1")},
+      {"inference-framework",
+       ToBytes(std::string("framework:") + inference::ToString(options.framework) +
+               (options.quantize ? "+int8" : ""))},
+      {"keyservice-identity",
+       ToBytes(keyservice::KeyServiceEnclave::ExpectedMeasurement().ToHex())},
+  };
+  sgx::EnclaveConfig config;
+  config.heap_size_bytes = options.heap_size_bytes;
+  config.num_tcs = options.num_tcs;
+  config.sequential_mode = options.sequential_mode;
+  config.disable_key_cache = options.disable_key_cache;
+  config.fixed_model_id = options.fixed_model_id;
+  config.round_scores_decimals = static_cast<uint32_t>(options.round_scores_decimals);
+  return sgx::EnclaveImage("semirt", std::move(units), config);
 }
 
 /// §IV-D model-extraction mitigation: quantize the raw float32 output to
@@ -59,35 +85,11 @@ std::string SemirtInstance::PlainModelObjectKey(const std::string& model_id) {
 }
 
 sgx::Measurement SemirtInstance::MeasurementFor(const SemirtOptions& options) {
-  // The enclave image covers the runtime core, the inference framework, the
-  // expected KeyService identity (Appendix A), and the execution-restriction
-  // configuration (§V) — but never model weights or keys.
-  std::vector<std::pair<std::string, Bytes>> units = {
-      {"semirt-core", ToBytes("sesemi semirt runtime v1")},
-      {"inference-framework",
-       ToBytes(std::string("framework:") + inference::ToString(options.framework) +
-               (options.quantize ? "+int8" : ""))},
-      {"keyservice-identity",
-       ToBytes(keyservice::KeyServiceEnclave::ExpectedMeasurement().ToHex())},
-  };
-  sgx::EnclaveConfig config;
-  config.heap_size_bytes = options.heap_size_bytes;
-  config.num_tcs = options.num_tcs;
-  config.sequential_mode = options.sequential_mode;
-  config.disable_key_cache = options.disable_key_cache;
-  config.fixed_model_id = options.fixed_model_id;
-  config.round_scores_decimals = static_cast<uint32_t>(options.round_scores_decimals);
-  sgx::EnclaveImage image("semirt", std::move(units), config);
-  return image.mrenclave();
+  return ImageFor(options).mrenclave();
 }
 
-Result<std::unique_ptr<SemirtInstance>> SemirtInstance::Create(
-    sgx::SgxPlatform* platform, const SemirtOptions& options,
-    storage::ObjectStore* storage, keyservice::KeyServiceServer* keyservice) {
-  if (options.mode != RuntimeMode::kUntrusted && keyservice == nullptr) {
-    return Status::InvalidArgument("trusted modes require a KeyService");
-  }
-  if (options.num_tcs < 1 || options.num_tcs > kMaxTcs) {
+Status ValidateOptions(const SemirtOptions& options) {
+  if (options.num_tcs < 1 || options.num_tcs > SemirtInstance::kMaxTcs) {
     return Status::InvalidArgument("num_tcs must be in [1, 64]");
   }
   if (options.sequential_mode && options.num_tcs != 1) {
@@ -97,6 +99,16 @@ Result<std::unique_ptr<SemirtInstance>> SemirtInstance::Create(
     return Status::InvalidArgument(
         "the Native baseline launches one enclave per request (num_tcs == 1)");
   }
+  return Status::OK();
+}
+
+Result<std::unique_ptr<SemirtInstance>> SemirtInstance::Create(
+    sgx::SgxPlatform* platform, const SemirtOptions& options,
+    storage::ObjectStore* storage, keyservice::KeyServiceServer* keyservice) {
+  if (options.mode != RuntimeMode::kUntrusted && keyservice == nullptr) {
+    return Status::InvalidArgument("trusted modes require a KeyService");
+  }
+  SESEMI_RETURN_IF_ERROR(ValidateOptions(options));
   if (storage == nullptr) {
     return Status::InvalidArgument("storage is required");
   }
@@ -126,24 +138,7 @@ SemirtInstance::~SemirtInstance() { ClearExecutionContext(); }
 Status SemirtInstance::Initialize() {
   if (options_.mode == RuntimeMode::kUntrusted) return Status::OK();
   obs::Span span(obs::spans::kEnclaveInit);
-
-  std::vector<std::pair<std::string, Bytes>> units = {
-      {"semirt-core", ToBytes("sesemi semirt runtime v1")},
-      {"inference-framework",
-       ToBytes(std::string("framework:") + inference::ToString(options_.framework) +
-               (options_.quantize ? "+int8" : ""))},
-      {"keyservice-identity",
-       ToBytes(keyservice::KeyServiceEnclave::ExpectedMeasurement().ToHex())},
-  };
-  sgx::EnclaveConfig config;
-  config.heap_size_bytes = options_.heap_size_bytes;
-  config.num_tcs = options_.num_tcs;
-  config.sequential_mode = options_.sequential_mode;
-  config.disable_key_cache = options_.disable_key_cache;
-  config.fixed_model_id = options_.fixed_model_id;
-  config.round_scores_decimals = static_cast<uint32_t>(options_.round_scores_decimals);
-  sgx::EnclaveImage image("semirt", std::move(units), config);
-  SESEMI_ASSIGN_OR_RETURN(enclave_, platform_->CreateEnclave(image));
+  SESEMI_ASSIGN_OR_RETURN(enclave_, platform_->CreateEnclave(ImageFor(options_)));
   link_ = std::make_unique<KeyServiceLink>(
       keyservice_, keyservice::KeyServiceEnclave::ExpectedMeasurement());
   return Status::OK();
@@ -227,10 +222,10 @@ void SemirtInstance::DropRuntimeLocked(ThreadContext* ctx) {
 
 Result<std::pair<Bytes, Bytes>> SemirtInstance::EnsureKeys(
     const std::string& user_id, const std::string& model_id, bool* fetched) {
-  const std::string key_id = model_id + "|" + user_id;
+  const std::string key_id = policy::KeyId(model_id, user_id);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!options_.disable_key_cache && cached_key_id_ == key_id) {
+    if (policy::ReusesKeys(options_, cached_key_id_, key_id)) {
       return std::make_pair(cached_model_key_, cached_request_key_);
     }
   }
@@ -256,44 +251,51 @@ Result<std::shared_ptr<inference::LoadedModel>> SemirtInstance::EnsureModel(
     const std::string& model_id, ByteSpan model_key, bool* loaded) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (loaded_model_ != nullptr && loaded_model_id_ == model_id &&
-        options_.mode == RuntimeMode::kSesemi) {
+    if (policy::ReusesModel(options_, loaded_model_id_, model_id)) {
       return loaded_model_;
     }
   }
 
-  // OC_LOAD_MODEL: the untrusted side fetches the ciphertext from storage.
-  if (enclave_ != nullptr) enclave_->RecordOcall();
-  SESEMI_ASSIGN_OR_RETURN(Bytes sealed, storage_->Get(ModelObjectKey(model_id)));
+  std::shared_ptr<inference::LoadedModel> model;
+  if (options_.mode == RuntimeMode::kUntrusted) {
+    // Plaintext model path (no keys, no attestation).
+    SESEMI_ASSIGN_OR_RETURN(Bytes plain, storage_->Get(PlainModelObjectKey(model_id)));
+    SESEMI_ASSIGN_OR_RETURN(model, framework_->LoadModel(plain));
+    SESEMI_RETURN_IF_ERROR(ChargeHeap(model->memory_bytes()));
+  } else {
+    // OC_LOAD_MODEL: the untrusted side fetches the ciphertext from storage.
+    enclave_->RecordOcall();
+    SESEMI_ASSIGN_OR_RETURN(Bytes sealed, storage_->Get(ModelObjectKey(model_id)));
 
-  // The ciphertext is copied into enclave memory before decryption
-  // (Appendix D: the enclave holds the encrypted copy + the decrypted model
-  // at peak).
-  SESEMI_RETURN_IF_ERROR(ChargeHeap(sealed.size()));
-  auto decrypted = model::DecryptModel(sealed, model_key, model_id);
-  if (!decrypted.ok()) {
+    // The ciphertext is copied into enclave memory before decryption
+    // (Appendix D: the enclave holds the encrypted copy + the decrypted model
+    // at peak).
+    SESEMI_RETURN_IF_ERROR(ChargeHeap(sealed.size()));
+    auto decrypted = model::DecryptModel(sealed, model_key, model_id);
+    if (!decrypted.ok()) {
+      FreeHeap(sealed.size());
+      return decrypted.status();
+    }
+    auto wrapped = framework_->WrapModel(std::move(*decrypted));
+    if (!wrapped.ok()) {
+      FreeHeap(sealed.size());
+      return wrapped.status();
+    }
+    Status charge = ChargeHeap((*wrapped)->memory_bytes());
+    // OC_FREE_LOADED: release the ciphertext staging copy.
     FreeHeap(sealed.size());
-    return decrypted.status();
+    enclave_->RecordOcall();
+    if (!charge.ok()) return charge;
+    model = std::move(*wrapped);
   }
-  auto wrapped = framework_->WrapModel(std::move(*decrypted));
-  if (!wrapped.ok()) {
-    FreeHeap(sealed.size());
-    return wrapped.status();
-  }
-  uint64_t model_bytes = (*wrapped)->memory_bytes();
-  Status charge = ChargeHeap(model_bytes);
-  // OC_FREE_LOADED: release the ciphertext staging copy.
-  FreeHeap(sealed.size());
-  if (enclave_ != nullptr) enclave_->RecordOcall();
-  if (!charge.ok()) return charge;
 
   std::lock_guard<std::mutex> lock(mutex_);
   // Model switch invalidates every thread's runtime for the old model (done
   // lazily in EnsureRuntime); free the old model's charge now.
   if (loaded_model_ != nullptr) FreeHeap(model_charged_bytes_);
-  loaded_model_ = std::move(*wrapped);
+  loaded_model_ = std::move(model);
   loaded_model_id_ = model_id;
-  model_charged_bytes_ = model_bytes;
+  model_charged_bytes_ = loaded_model_->memory_bytes();
   stats_.model_loads++;
   *loaded = true;
   return loaded_model_;
@@ -304,12 +306,7 @@ Status SemirtInstance::EnsureRuntime(
     const std::shared_ptr<inference::LoadedModel>& model, bool* inited) {
   std::unique_lock<std::mutex> lock(mutex_);
   ThreadContext& ctx = contexts_[slot];
-  const bool reuse_allowed =
-      options_.mode == RuntimeMode::kSesemi ||
-      (options_.mode == RuntimeMode::kUntrusted && options_.reuse_model);
-  const bool reusable =
-      ctx.runtime != nullptr && ctx.model_id == model_id && reuse_allowed;
-  if (reusable) return Status::OK();
+  if (policy::ReusesRuntime(options_, ctx.model_id, model_id)) return Status::OK();
 
   DropRuntimeLocked(&ctx);
   lock.unlock();
@@ -416,7 +413,7 @@ Status SemirtInstance::RunTrusted(std::span<const InferenceRequest* const> batch
   if (head.user_id.empty()) {
     return Status::InvalidArgument("missing user id");
   }
-  if (options_.mode == RuntimeMode::kNative && !enclave_fresh_) {
+  if (policy::RelaunchesEnclave(options_, enclave_fresh_)) {
     // Native baseline: tear down and relaunch the enclave for every request
     // (the sandbox is reused, the enclave is not — §VI "Baselines"). The
     // single TCS slot serializes requests, so this is race-free.
@@ -521,29 +518,8 @@ Status SemirtInstance::RunUntrusted(const InferenceRequest& request, int slot,
   bool model_loaded = false, runtime_inited = false;
   std::shared_ptr<inference::LoadedModel> model;
   {
-    // Plaintext model path (no keys, no attestation).
     obs::Span stage(obs::spans::kModelLoad, &t->model_load);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (loaded_model_ != nullptr && loaded_model_id_ == request.model_id &&
-          options_.reuse_model) {
-        model = loaded_model_;
-      }
-    }
-    if (model == nullptr) {
-      SESEMI_ASSIGN_OR_RETURN(Bytes plain,
-                              storage_->Get(PlainModelObjectKey(request.model_id)));
-      SESEMI_ASSIGN_OR_RETURN(model, framework_->LoadModel(plain));
-      uint64_t bytes = model->memory_bytes();
-      SESEMI_RETURN_IF_ERROR(ChargeHeap(bytes));
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (loaded_model_ != nullptr) FreeHeap(model_charged_bytes_);
-      loaded_model_ = model;
-      loaded_model_id_ = request.model_id;
-      model_charged_bytes_ = bytes;
-      stats_.model_loads++;
-      model_loaded = true;
-    }
+    SESEMI_ASSIGN_OR_RETURN(model, EnsureModel(request.model_id, {}, &model_loaded));
   }
   SESEMI_RETURN_IF_ERROR(CheckDeadline(deadline, "model load"));
   {
@@ -565,16 +541,12 @@ Status SemirtInstance::RunUntrusted(const InferenceRequest& request, int slot,
 }
 
 InvocationKind SemirtInstance::ClassifyLocked(bool state_loaded, int n) {
-  InvocationKind kind = InvocationKind::kHot;
-  if (enclave_fresh_) {
-    kind = InvocationKind::kCold;
-    stats_.cold_invocations += n;
-    enclave_fresh_ = false;
-  } else if (state_loaded) {
-    kind = InvocationKind::kWarm;
-    stats_.warm_invocations += n;
-  } else {
-    stats_.hot_invocations += n;
+  const InvocationKind kind = policy::Classify(enclave_fresh_, state_loaded);
+  enclave_fresh_ = false;
+  switch (kind) {
+    case InvocationKind::kCold: stats_.cold_invocations += n; break;
+    case InvocationKind::kWarm: stats_.warm_invocations += n; break;
+    case InvocationKind::kHot: stats_.hot_invocations += n; break;
   }
   stats_.requests += n;
   return kind;

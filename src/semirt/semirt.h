@@ -57,6 +57,13 @@ struct SemirtOptions {
   int round_scores_decimals = 0;
 };
 
+/// The deployment-time checks on `options` that do not depend on the
+/// platform: num_tcs in [1, SemirtInstance::kMaxTcs], and exactly 1 for
+/// sequential mode and the Native baseline. SemirtInstance::Create and
+/// ServerlessPlatform::DeployFunction both apply them. InvalidArgument on
+/// failure.
+Status ValidateOptions(const SemirtOptions& options);
+
 /// Per-request stage timings (live-mode measurements; the sim substitutes its
 /// calibrated cost model for the same stages).
 struct StageTimings {
@@ -124,8 +131,8 @@ class SemirtInstance {
   /// Launch the instance: creates the enclave (the expensive part of a cold
   /// start) and connects the KeyService link. `keyservice` may be null only
   /// in kUntrusted mode; otherwise it must outlive the instance, whose
-  /// destructor closes its KeyService session. `options.num_tcs` outside
-  /// [1, kMaxTcs] is InvalidArgument.
+  /// destructor closes its KeyService session. Options that fail
+  /// ValidateOptions are InvalidArgument.
   static Result<std::unique_ptr<SemirtInstance>> Create(
       sgx::SgxPlatform* platform, const SemirtOptions& options,
       storage::ObjectStore* storage, keyservice::KeyServiceServer* keyservice);
@@ -230,7 +237,8 @@ class SemirtInstance {
                                              bool* fetched);
 
   /// Ensure the target model is the loaded model (OC_LOAD_MODEL + decrypt +
-  /// MODEL_LOAD). Sets *loaded if a load happened.
+  /// MODEL_LOAD; kUntrusted loads the plaintext copy and ignores
+  /// `model_key`). Sets *loaded if a load happened.
   Result<std::shared_ptr<inference::LoadedModel>> EnsureModel(
       const std::string& model_id, ByteSpan model_key, bool* loaded);
 

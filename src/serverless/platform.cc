@@ -8,16 +8,11 @@
 #include "common/cpuid.h"
 #include "common/faultpoint.h"
 #include "obs/trace.h"
+#include "serverless/policy.h"
 
 namespace sesemi::serverless {
 
 namespace {
-constexpr uint64_t kMemoryGranularity = 128ull << 20;
-
-uint64_t RoundUpToGranularity(uint64_t bytes) {
-  return (bytes + kMemoryGranularity - 1) / kMemoryGranularity * kMemoryGranularity;
-}
-
 /// What an InvokeAsync submission parks in the scheduler: the request itself
 /// and the promise its future resolves from.
 struct PendingInvocation {
@@ -129,9 +124,12 @@ void ServerlessPlatform::ResolveExpired(std::vector<sched::QueuedRequest>* expir
 }
 
 Status ServerlessPlatform::DeployFunction(const FunctionSpec& spec) {
+  // A spec no launch can satisfy is rejected here: its first cold start would
+  // otherwise fail and arm the platform-wide relaunch gate for every function.
+  SESEMI_RETURN_IF_ERROR(semirt::ValidateOptions(spec.options));
   FunctionSpec normalized = spec;
   normalized.container_memory_bytes =
-      RoundUpToGranularity(spec.container_memory_bytes);
+      policy::ContainerBytes(spec.container_memory_bytes);
   std::unique_lock<std::shared_mutex> lock(functions_mutex_);
   if (functions_.contains(spec.name)) {
     return Status::AlreadyExists("function already deployed: " + spec.name);
@@ -163,23 +161,23 @@ ServerlessPlatform::WarmSlot* ServerlessPlatform::SlotAt(const FunctionShard& sh
 // Lock-free pop (warm acquisition). The `next` read may be stale if another
 // thread pops or steals concurrently, but any such interleaving bumps the
 // head tag, so our CAS fails and we retry with fresh state.
-uint32_t ServerlessPlatform::PopWarmSlot(FunctionShard* shard) {
+uint64_t ServerlessPlatform::PopWarmSlot(FunctionShard* shard) {
   uint64_t head = shard->free_head.load(std::memory_order_acquire);
   for (;;) {
     const uint32_t index = HeadIndex(head);
-    if (index == kNilSlot) return kNilSlot;
+    if (index == kNilSlot) return head;
     const uint32_t next = SlotAt(*shard, index)->next.load(std::memory_order_relaxed);
     const uint64_t want = PackHead(HeadTag(head) + 1, next);
     if (shard->free_head.compare_exchange_weak(head, want,
                                                std::memory_order_acq_rel,
                                                std::memory_order_acquire)) {
-      return index;
+      return PackHead(HeadTag(want), index);
     }
   }
 }
 
-void ServerlessPlatform::PushWarmSlot(FunctionShard* shard, uint32_t index,
-                                      Container* container) {
+uint32_t ServerlessPlatform::PushWarmSlot(FunctionShard* shard, uint32_t index,
+                                          Container* container) {
   WarmSlot* slot = SlotAt(*shard, index);
   slot->container.store(container, std::memory_order_relaxed);
   uint64_t head = shard->free_head.load(std::memory_order_relaxed);
@@ -189,7 +187,7 @@ void ServerlessPlatform::PushWarmSlot(FunctionShard* shard, uint32_t index,
     if (shard->free_head.compare_exchange_weak(head, want,
                                                std::memory_order_acq_rel,
                                                std::memory_order_relaxed)) {
-      return;
+      return HeadTag(want);
     }
   }
 }
@@ -224,35 +222,26 @@ bool ServerlessPlatform::TryReserveNodeMemory(int node, uint64_t bytes) {
 }
 
 int ServerlessPlatform::ChooseAndReserveNode(FunctionShard* shard, uint64_t bytes) {
-  // Co-location preference: try the node that last hosted this function.
-  const int hint = shard->placement_hint.load(std::memory_order_relaxed);
-  if (hint >= 0 && TryReserveNodeMemory(hint, bytes)) return hint;
-
-  // OpenWhisk-style memory-based scheduling: most free memory first. Retry a
-  // few times — a losing CAS means another cold start landed concurrently.
+  // Decide on a snapshot, then reserve by CAS. Retry a few times — a losing
+  // CAS means another cold start landed concurrently.
+  std::vector<uint64_t> used(nodes_.size());
   for (int attempt = 0; attempt < 4; ++attempt) {
-    int best = -1;
-    uint64_t best_free = 0;
     for (size_t i = 0; i < nodes_.size(); ++i) {
-      const uint64_t used = nodes_[i].memory_used.load(std::memory_order_relaxed);
-      const uint64_t free =
-          config_.invoker_memory_bytes > used ? config_.invoker_memory_bytes - used : 0;
-      if (free >= bytes && free > best_free) {
-        best_free = free;
-        best = static_cast<int>(i);
-      }
+      used[i] = nodes_[i].memory_used.load(std::memory_order_relaxed);
     }
-    if (best < 0) return -1;
-    if (TryReserveNodeMemory(best, bytes)) {
-      shard->placement_hint.store(best, std::memory_order_relaxed);
-      return best;
+    const int node =
+        policy::ChooseNode(shard->placement_hint.load(std::memory_order_relaxed),
+                           used, config_.invoker_memory_bytes, bytes);
+    if (node < 0) return -1;
+    if (TryReserveNodeMemory(node, bytes)) {
+      shard->placement_hint.store(node, std::memory_order_relaxed);
+      return node;
     }
   }
   return -1;
 }
 
-Result<ServerlessPlatform::Container*> ServerlessPlatform::ColdStart(
-    FunctionShard* shard, uint32_t* slot_index) {
+Status ServerlessPlatform::ColdStart(FunctionShard* shard, Lease* lease) {
   obs::Span span(obs::spans::kColdStart);
   const FunctionSpec& spec = shard->spec;
   // Relaunch gate: after enclave *launch* failures, back off instead of
@@ -299,7 +288,7 @@ Result<ServerlessPlatform::Container*> ServerlessPlatform::ColdStart(
   container->last_used.store(clock_->Now(), std::memory_order_relaxed);
   Container* raw = container.get();
 
-  const uint32_t num_tcs = spec.options.num_tcs;  // >= 1: Create checked it
+  const uint32_t num_tcs = spec.options.num_tcs;  // >= 1: DeployFunction checked it
   std::vector<uint32_t> slots;
   {
     std::lock_guard<std::mutex> lock(shard->mutex);
@@ -315,95 +304,87 @@ Result<ServerlessPlatform::Container*> ServerlessPlatform::ColdStart(
       return Status::ResourceExhausted("slot directory exhausted for " + spec.name);
     }
     container->num_tokens = static_cast<uint32_t>(slots.size());
+    container->ordinal = shard->containers_created++;
     shard->containers.push_back(std::move(container));
   }
 
-  // The caller keeps the first token; the rest become warm capacity.
-  *slot_index = slots.front();
-  SlotAt(*shard, *slot_index)->container.store(raw, std::memory_order_relaxed);
-  for (size_t i = 1; i < slots.size(); ++i) PushWarmSlot(shard, slots[i], raw);
+  // The caller keeps the first token; the rest become warm capacity only
+  // now that the launch is done.
+  lease->container = raw;
+  lease->slot = slots.front();
+  lease->cold = true;
+  SlotAt(*shard, lease->slot)->container.store(raw, std::memory_order_relaxed);
+  for (size_t i = 1; i < slots.size(); ++i) {
+    const uint32_t tag = PushWarmSlot(shard, slots[i], raw);
+    if (i == 1) lease->order.launch = 2 * uint64_t{tag};
+  }
 
   cold_starts_.fetch_add(1, std::memory_order_relaxed);
-  return raw;
+  return Status::OK();
 }
 
-Result<ServerlessPlatform::Container*> ServerlessPlatform::AcquireContainer(
-    FunctionShard* shard, const std::string& model_id, uint32_t* slot_index,
-    bool* cold) {
+Result<ServerlessPlatform::Lease> ServerlessPlatform::AcquireContainer(
+    FunctionShard* shard, const std::string& model_id) {
   obs::Span span(obs::spans::kWarmAcquire);
-  *cold = false;
-  uint32_t index = kNilSlot;
-  Container* container = nullptr;
-  // Pop until a healthy token surfaces; poisoned containers' tokens are
-  // quarantined on sight (holding a token is the exclusive right to decide
-  // its fate, so this races with nothing).
-  for (;;) {
-    index = PopWarmSlot(shard);
-    if (index == kNilSlot) break;
-    container = SlotAt(*shard, index)->container.load(std::memory_order_relaxed);
-    if (!container->poisoned.load(std::memory_order_acquire)) break;
-    QuarantineSlot(shard, container, index);
-    MaybeRetireContainer(shard, container);
-    container = nullptr;
-  }
-  if (index != kNilSlot) {
-    // Model affinity: LIFO already lands on the hottest container, but under
-    // pooled endpoints two warm containers may hold different models. Peek a
-    // bounded number of further tokens for one whose instance has this
-    // request's model loaded; return the rest. This recovers the seed's
-    // prefer-loaded-model scoring without a global scan or lock.
-    if (container->instance->loaded_model_id() != model_id) {
-      uint32_t returned[2];
-      Container* returned_owner[2];
-      int returned_count = 0;
-      for (int peek = 0; peek < 2; ++peek) {
-        const uint32_t other_index = PopWarmSlot(shard);
-        if (other_index == kNilSlot) break;
-        Container* other =
-            SlotAt(*shard, other_index)->container.load(std::memory_order_relaxed);
-        if (other->poisoned.load(std::memory_order_acquire)) {
-          QuarantineSlot(shard, other, other_index);
-          MaybeRetireContainer(shard, other);
-          continue;
-        }
-        if (other->instance->loaded_model_id() == model_id) {
-          returned[returned_count] = index;
-          returned_owner[returned_count++] = container;
-          index = other_index;
-          container = other;
-          break;
-        }
-        returned[returned_count] = other_index;
-        returned_owner[returned_count++] = other;
+  Lease lease;
+  // Tokens popped while choosing, top first; the ones not taken go back.
+  // Poisoned containers' tokens are quarantined on sight (holding a token is
+  // the exclusive right to decide its fate, so this races with nothing): the
+  // top skips past them, a peek spends its turn on one.
+  constexpr int kMaxPopped = 1 + policy::kAffinityPeek;
+  uint32_t popped[kMaxPopped] = {};
+  Container* owners[kMaxPopped] = {};
+  int popped_count = 0;
+  const int choice = policy::ChooseWarmToken([&](int i) -> std::optional<bool> {
+    for (;;) {
+      const uint64_t head = PopWarmSlot(shard);
+      const uint32_t index = HeadIndex(head);
+      if (index == kNilSlot) {
+        if (i == 0) lease.order.acquire = 2 * uint64_t{HeadTag(head)} + 1;
+        return std::nullopt;
       }
-      for (int i = returned_count - 1; i >= 0; --i) {
-        PushWarmSlot(shard, returned[i], returned_owner[i]);
+      Container* container =
+          SlotAt(*shard, index)->container.load(std::memory_order_relaxed);
+      if (container->poisoned.load(std::memory_order_acquire)) {
+        QuarantineSlot(shard, container, index);
+        MaybeRetireContainer(shard, container);
+        if (i == 0) continue;
+        return false;
       }
+      if (i == 0) lease.order.acquire = 2 * uint64_t{HeadTag(head)};
+      popped[i] = index;
+      owners[i] = container;
+      popped_count = i + 1;
+      return container->instance->loaded_model_id() == model_id;
     }
-    container->in_flight.fetch_add(1, std::memory_order_acq_rel);
+  });
+  if (choice >= 0) {
+    lease.container = owners[choice];
+    lease.slot = popped[choice];
+    for (int i = popped_count - 1; i >= 0; --i) {
+      if (i != choice && owners[i] != nullptr) PushWarmSlot(shard, popped[i], owners[i]);
+    }
+    lease.container->in_flight.fetch_add(1, std::memory_order_acq_rel);
   } else {
-    SESEMI_ASSIGN_OR_RETURN(container, ColdStart(shard, &index));
-    *cold = true;
+    SESEMI_RETURN_IF_ERROR(ColdStart(shard, &lease));
   }
-  span.set_arg("cold", *cold ? 1 : 0);
-  *slot_index = index;
-  return container;
+  span.set_arg("cold", lease.cold ? 1 : 0);
+  return lease;
 }
 
-void ServerlessPlatform::ReleaseContainer(FunctionShard* shard,
-                                          Container* container,
-                                          uint32_t slot_index) {
+void ServerlessPlatform::ReleaseContainer(FunctionShard* shard, Lease* lease) {
+  Container* container = lease->container;
   container->last_used.store(clock_->Now(), std::memory_order_relaxed);
   if (container->poisoned.load(std::memory_order_acquire)) {
     // Never return a poisoned container's token to the freelist: quarantine
     // it, then retire the container once in-flight work has drained.
-    QuarantineSlot(shard, container, slot_index);
+    QuarantineSlot(shard, container, lease->slot);
     container->in_flight.fetch_sub(1, std::memory_order_acq_rel);
     MaybeRetireContainer(shard, container);
     return;
   }
   container->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  PushWarmSlot(shard, slot_index, container);
+  lease->order.release = 2 * uint64_t{PushWarmSlot(shard, lease->slot, container)};
 }
 
 void ServerlessPlatform::PoisonContainer(Container* container) {
@@ -456,45 +437,42 @@ void ServerlessPlatform::MaybeRetireContainer(FunctionShard* shard,
 
 Result<Bytes> ServerlessPlatform::ExecuteAttempt(
     FunctionShard* shard, const semirt::InferenceRequest& request,
-    const semirt::ExecDeadline* deadline, semirt::StageTimings* timings,
-    bool* cold) {
+    const semirt::ExecDeadline* deadline, InvocationResult* out) {
   SESEMI_FAULT_POINT(faults::kServerlessDispatch);
   if (deadline != nullptr && deadline->Expired()) {
     return Status::DeadlineExceeded("deadline passed before execution");
   }
 
-  bool cold_here = false;
-  uint32_t slot_index = 0;
-  SESEMI_ASSIGN_OR_RETURN(Container * container,
-                          AcquireContainer(shard, request.model_id, &slot_index,
-                                           &cold_here));
-  if (cold_here) *cold = true;
+  SESEMI_ASSIGN_OR_RETURN(Lease lease, AcquireContainer(shard, request.model_id));
+  if (lease.cold) out->cold_start = true;
+  out->container = lease.container->ordinal;
+  out->node = lease.container->node;
 
   Result<Bytes> result =
-      container->instance->HandleRequest(request, timings, deadline);
+      lease.container->instance->HandleRequest(request, &out->timings, deadline);
 
   if (config_.recovery.enabled && !result.ok() &&
       IsEnclavePoisoning(result.status().code())) {
     // The enclave's internal state can no longer be trusted: poison it so
     // the release below quarantines the token instead of recycling it.
-    PoisonContainer(container);
+    PoisonContainer(lease.container);
   }
-  ReleaseContainer(shard, container, slot_index);
+  ReleaseContainer(shard, &lease);
+  out->order = lease.order;
   invocations_.fetch_add(1, std::memory_order_relaxed);
   return result;
 }
 
 Result<Bytes> ServerlessPlatform::ExecuteOne(
     FunctionShard* shard, const semirt::InferenceRequest& request,
-    const semirt::ExecDeadline* deadline, semirt::StageTimings* timings,
-    bool* cold) {
+    const semirt::ExecDeadline* deadline, InvocationResult* out) {
   const RetryPolicy& policy = config_.recovery.retry;
   const int max_attempts =
       config_.recovery.enabled ? std::max(1, policy.max_attempts) : 1;
 
   Result<Bytes> result = Status::Aborted("request dropped before execution");
   for (int attempt = 0;; ++attempt) {
-    result = ExecuteAttempt(shard, request, deadline, timings, cold);
+    result = ExecuteAttempt(shard, request, deadline, out);
     if (result.ok()) break;
     const StatusCode code = result.status().code();
     if (code == StatusCode::kDeadlineExceeded) {
@@ -539,9 +517,10 @@ Result<Bytes> ServerlessPlatform::Invoke(const std::string& function,
     return Status::NotFound("no such function: " + function);
   }
 
-  bool cold = false;
-  Result<Bytes> result = ExecuteOne(shard, request, nullptr, timings, &cold);
-  if (cold_start != nullptr) *cold_start = cold;
+  InvocationResult out;
+  Result<Bytes> result = ExecuteOne(shard, request, nullptr, &out);
+  if (timings != nullptr) *timings = out.timings;
+  if (cold_start != nullptr) *cold_start = out.cold_start;
   return result;
 }
 
@@ -757,8 +736,7 @@ void ServerlessPlatform::DispatchOne(sched::QueuedRequest qr, int rt_lane) {
   if (shard == nullptr) {
     out.response = Status::NotFound("no such function: " + qr.function);
   } else {
-    out.response = ExecuteOne(shard, pending->request, deadline_ptr,
-                              &out.timings, &out.cold_start);
+    out.response = ExecuteOne(shard, pending->request, deadline_ptr, &out);
   }
   if (rt_lane >= 0) rt_dispatches_.fetch_add(1, std::memory_order_relaxed);
   ObserveClassLatency(qr.priority, out.queue_wait, clock_->Now() - exec_start);
@@ -831,14 +809,14 @@ void ServerlessPlatform::DispatchBatch(std::vector<sched::QueuedRequest> batch) 
     return;
   }
 
-  bool cold = false;
-  uint32_t slot_index = 0;
-  auto container = AcquireContainer(shard, batch.front().model_id, &slot_index,
-                                    &cold);
-  if (!container.ok()) {
-    resolve_all(container.status());
+  auto lease = AcquireContainer(shard, batch.front().model_id);
+  if (!lease.ok()) {
+    resolve_all(lease.status());
     return;
   }
+  Container* container = lease->container;
+  const int ordinal = container->ordinal;
+  const int node = container->node;
 
   std::vector<const semirt::InferenceRequest*> requests;
   std::vector<std::shared_ptr<PendingInvocation>> pendings;
@@ -852,8 +830,7 @@ void ServerlessPlatform::DispatchBatch(std::vector<sched::QueuedRequest> batch) 
   semirt::StageTimings timings;
   const TimeMicros exec_start = clock_->Now();
   std::vector<Result<Bytes>> results =
-      (*container)->instance->HandleRequestBatch(requests, &timings,
-                                                 deadline_ptr);
+      container->instance->HandleRequestBatch(requests, &timings, deadline_ptr);
   const TimeMicros exec_micros = clock_->Now() - exec_start;
 
   // Batch dispatches are never retried (the enclave entry is not idempotent);
@@ -864,12 +841,12 @@ void ServerlessPlatform::DispatchBatch(std::vector<sched::QueuedRequest> batch) 
     if (code == StatusCode::kDeadlineExceeded) {
       deadline_cuts_.fetch_add(1, std::memory_order_relaxed);
     } else if (config_.recovery.enabled && IsEnclavePoisoning(code)) {
-      PoisonContainer(*container);
+      PoisonContainer(container);
       r = Status::Unavailable("enclave failure: " + r.status().message());
     }
   }
 
-  ReleaseContainer(shard, *container, slot_index);
+  ReleaseContainer(shard, &*lease);
   invocations_.fetch_add(static_cast<int>(batch.size()),
                          std::memory_order_relaxed);
 
@@ -879,7 +856,10 @@ void ServerlessPlatform::DispatchBatch(std::vector<sched::QueuedRequest> batch) 
     InvocationResult out;
     out.response = std::move(results[i]);
     out.timings = timings;  // stage costs are shared across the batch
-    out.cold_start = cold;
+    out.cold_start = lease->cold;
+    out.container = ordinal;
+    out.node = node;
+    out.order = lease->order;
     out.sched_seq = batch[i].seq;
     out.dispatch_seq = batch[i].dispatch_seq;
     out.queue_wait = now - batch[i].enqueue_time;
@@ -913,8 +893,9 @@ int ServerlessPlatform::ReapShard(FunctionShard* shard, TimeMicros now) {
   const bool candidate = std::any_of(
       shard->containers.begin(), shard->containers.end(), [&](const auto& c) {
         return c->poisoned.load(std::memory_order_acquire) ||
-               now - c->last_used.load(std::memory_order_relaxed) >=
-                   config_.keep_alive;
+               policy::KeepAliveExpired(
+                   now, c->last_used.load(std::memory_order_relaxed),
+                   config_.keep_alive);
       });
   if (!candidate) return 0;
 
@@ -971,8 +952,9 @@ int ServerlessPlatform::ReapShard(FunctionShard* shard, TimeMicros now) {
     const size_t free_tokens = token_it == tokens.end() ? 0 : token_it->second.size();
     const bool idle = free_tokens == c->num_tokens &&
                       c->in_flight.load(std::memory_order_acquire) == 0;
-    if (idle && now - c->last_used.load(std::memory_order_relaxed) >=
-                    config_.keep_alive) {
+    if (idle && policy::KeepAliveExpired(
+                    now, c->last_used.load(std::memory_order_relaxed),
+                    config_.keep_alive)) {
       nodes_[c->node].memory_used.fetch_sub(c->memory_bytes,
                                             std::memory_order_acq_rel);
       // Recycle the slot records (tagged head makes the reuse ABA-safe).

@@ -92,10 +92,23 @@ struct PlatformStats {
   uint64_t deadline_cuts = 0;     ///< invocations cut at execution time
 };
 
+/// Where one request's warm-token events fall in its function's freelist
+/// order. Every push and pop of the freelist bumps its head tag, so the tags
+/// number those events: a position is 2 x the tag an event produced, or
+/// 2 x tag + 1 for a cold start that found the list empty at that tag (it
+/// falls between two events). 0 = no such event. The differential harness
+/// drives the simulator in this order (cluster::ReplayDecisionsOnSim).
+struct TokenOrder {
+  uint64_t acquire = 0;  ///< the pop that granted the token, or the empty read
+  uint64_t launch = 0;   ///< cold start: the push publishing the other tokens
+  uint64_t release = 0;  ///< the push that returned the token
+};
+
 /// Everything one asynchronous invocation produces: the sealed response (or
-/// error), the per-stage timings, whether a container was provisioned, and
-/// the scheduler's view of the request (admission order, dispatch order,
-/// queue wait, and the size of the coalesced batch it rode in).
+/// error), the per-stage timings, whether a container was provisioned, the
+/// warm-pool decision, and the scheduler's view of the request (admission
+/// order, dispatch order, queue wait, and the size of the coalesced batch it
+/// rode in).
 struct InvocationResult {
   /// Every platform path overwrites this with either the sealed response or
   /// a specific typed error; the Aborted default can only surface if a
@@ -103,6 +116,11 @@ struct InvocationResult {
   Result<Bytes> response = Status::Aborted("request dropped before execution");
   semirt::StageTimings timings;
   bool cold_start = false;
+  /// The serving container's creation ordinal within its function (-1 =
+  /// none acquired) and its invoker node (policy::Decision).
+  int container = -1;
+  int node = -1;
+  TokenOrder order;
   uint64_t sched_seq = 0;     ///< arrival order assigned at admission
   uint64_t dispatch_seq = 0;  ///< policy order assigned at dispatch
   TimeMicros queue_wait = 0;  ///< time spent queued before dispatch
@@ -137,8 +155,9 @@ struct InvokeOptions {
 /// A live, in-process serverless platform: invoker nodes with memory-based
 /// placement, warm-container reuse, keep-alive reclamation, and cold starts
 /// that launch SeMIRT sandboxes. This is the execution substrate the
-/// examples, benchmarks, and integration tests run on; the discrete-event
-/// simulator in src/sim mirrors its policies at cluster scale.
+/// examples, benchmarks, and integration tests run on; its placement,
+/// warm-choice and keep-alive decisions come from serverless/policy.h, which
+/// the discrete-event simulator in src/sim calls too.
 ///
 /// \par Concurrency design
 /// The invocation hot path is sharded so concurrent requests never serialize
@@ -258,6 +277,7 @@ class ServerlessPlatform {
   struct Container {
     std::string function;
     int node = 0;
+    int ordinal = 0;  ///< creation order within the function
     uint64_t memory_bytes = 0;
     std::unique_ptr<semirt::SemirtInstance> instance;
     /// Warm tokens this container contributed (== num_tcs unless the slot
@@ -313,6 +333,17 @@ class ServerlessPlatform {
     std::vector<std::unique_ptr<Container>> containers;  ///< guarded by mutex
     std::vector<uint32_t> spare_slots;                   ///< guarded by mutex
     uint32_t slot_count = 0;                             ///< guarded by mutex
+    int containers_created = 0;                          ///< guarded by mutex
+  };
+
+  /// One execution right on a container: the freelist token held, whether
+  /// the container was cold-started for it, and the token's events in the
+  /// freelist order.
+  struct Lease {
+    Container* container = nullptr;
+    uint32_t slot = kNilSlot;
+    bool cold = false;
+    TokenOrder order;
   };
 
   struct Node {
@@ -327,26 +358,27 @@ class ServerlessPlatform {
   static uint32_t HeadIndex(uint64_t head) { return static_cast<uint32_t>(head); }
 
   WarmSlot* SlotAt(const FunctionShard& shard, uint32_t index) const;
-  uint32_t PopWarmSlot(FunctionShard* shard);
-  void PushWarmSlot(FunctionShard* shard, uint32_t index, Container* container);
+  /// Returns {tag:32 | index:32}: the popped index and the tag the pop
+  /// produced, or kNilSlot and the tag at which the list was empty.
+  uint64_t PopWarmSlot(FunctionShard* shard);
+  /// Returns the tag the push produced.
+  uint32_t PushWarmSlot(FunctionShard* shard, uint32_t index, Container* container);
   uint32_t AllocSlotRecordLocked(FunctionShard* shard);  ///< requires shard->mutex
 
   FunctionShard* FindShard(const std::string& function) const;
   bool TryReserveNodeMemory(int node, uint64_t bytes);
   int ChooseAndReserveNode(FunctionShard* shard, uint64_t bytes);
 
-  /// Cold-start a container for `shard`, returning it with one slot token
-  /// (index in *slot_index) already held by the caller.
-  Result<Container*> ColdStart(FunctionShard* shard, uint32_t* slot_index);
+  /// Cold-start a container for `shard` into `lease`, whose first slot
+  /// token the caller then holds.
+  Status ColdStart(FunctionShard* shard, Lease* lease);
 
-  /// Acquire one execution right on a container for `shard` (warm slot with
-  /// model affinity, else cold start). Pairs with ReleaseContainer. Poisoned
-  /// containers surfacing from the freelist are quarantined and skipped.
-  Result<Container*> AcquireContainer(FunctionShard* shard,
-                                      const std::string& model_id,
-                                      uint32_t* slot_index, bool* cold);
-  void ReleaseContainer(FunctionShard* shard, Container* container,
-                        uint32_t slot_index);
+  /// Acquire one execution right on a container for `shard` (warm token
+  /// chosen by policy::ChooseWarmToken, else cold start). Pairs with
+  /// ReleaseContainer. Poisoned containers surfacing from the freelist are
+  /// quarantined and skipped.
+  Result<Lease> AcquireContainer(FunctionShard* shard, const std::string& model_id);
+  void ReleaseContainer(FunctionShard* shard, Lease* lease);
 
   /// Mark `container` poisoned (idempotent); arms the relaunch accounting.
   void PoisonContainer(Container* container);
@@ -361,18 +393,19 @@ class ServerlessPlatform {
   void MaybeRetireContainer(FunctionShard* shard, Container* container);
 
   /// One execution attempt: acquire, run (with optional exec deadline),
-  /// poison on enclave failure, release.
+  /// poison on enclave failure, release. Fills out's timings, cold_start
+  /// and decision fields.
   Result<Bytes> ExecuteAttempt(FunctionShard* shard,
                                const semirt::InferenceRequest& request,
                                const semirt::ExecDeadline* deadline,
-                               semirt::StageTimings* timings, bool* cold);
+                               InvocationResult* out);
   /// ExecuteAttempt wrapped in the recovery policy: retries retryable
   /// failures (idempotent stages only — a poisoning inference failure is
   /// translated to Unavailable and never retried), counts deadline cuts.
   Result<Bytes> ExecuteOne(FunctionShard* shard,
                            const semirt::InferenceRequest& request,
                            const semirt::ExecDeadline* deadline,
-                           semirt::StageTimings* timings, bool* cold);
+                           InvocationResult* out);
 
   /// Resolve every request still queued in the scheduler with a typed
   /// shutdown error (deadline-shed entries keep DeadlineExceeded).

@@ -7,16 +7,8 @@
 
 namespace sesemi::sim {
 
-using semirt::InvocationKind;
 using semirt::RuntimeMode;
-
-namespace {
-constexpr uint64_t kMemoryGranularity = 128ull << 20;  // Table V
-
-uint64_t RoundUpToGranularity(uint64_t bytes) {
-  return (bytes + kMemoryGranularity - 1) / kMemoryGranularity * kMemoryGranularity;
-}
-}  // namespace
+namespace policy = serverless::policy;
 
 ClusterSim::ClusterSim(SimConfig config) : config_(std::move(config)) {
   nodes_.resize(config_.num_nodes);
@@ -24,10 +16,17 @@ ClusterSim::ClusterSim(SimConfig config) : config_(std::move(config)) {
 }
 
 void ClusterSim::AddFunction(SimFunction function) {
-  functions_[function.name] = std::move(function);
+  Function state;
+  state.options.framework = function.framework;
+  state.options.mode = function.mode;
+  state.options.num_tcs = static_cast<uint32_t>(function.num_tcs);
+  state.options.sequential_mode = function.sequential_isolation;
+  state.options.disable_key_cache = function.sequential_isolation;
+  state.spec = std::move(function);
+  functions_[state.spec.name] = std::move(state);
 }
 
-const SimFunction& ClusterSim::FunctionSpec(const std::string& name) const {
+ClusterSim::Function& ClusterSim::FunctionState(const std::string& name) {
   auto it = functions_.find(name);
   assert(it != functions_.end() && "unknown function");
   return it->second;
@@ -42,12 +41,14 @@ uint64_t ClusterSim::EnclaveBytes(const SimFunction& fn) const {
 }
 
 uint64_t ClusterSim::ContainerMemory(const SimFunction& fn) const {
-  if (fn.container_memory_bytes != 0) return fn.container_memory_bytes;
+  if (fn.container_memory_bytes != 0) {
+    return policy::ContainerBytes(fn.container_memory_bytes);
+  }
   const ModelProfile& p = config_.cost_model.profile(fn.framework, fn.arch);
   uint64_t need = fn.mode == RuntimeMode::kUntrusted
                       ? p.model_bytes + static_cast<uint64_t>(fn.num_tcs) * p.buffer_bytes
                       : EnclaveBytes(fn);
-  return RoundUpToGranularity(need + (32ull << 20));  // container overhead
+  return policy::ContainerBytes(need + (32ull << 20));  // container overhead
 }
 
 int ClusterSim::total_containers() const {
@@ -78,33 +79,18 @@ void ClusterSim::SampleUsage() {
 }
 
 ClusterSim::Container* ClusterSim::CreateContainer(const std::string& function) {
-  const SimFunction& fn = FunctionSpec(function);
+  Function& state = FunctionState(function);
+  const SimFunction& fn = state.spec;
   uint64_t memory = ContainerMemory(fn);
   uint64_t enclave_bytes = EnclaveBytes(fn);
 
-  // Placement: OpenWhisk schedules on memory and prefers co-locating a
-  // function's containers; fall back to the node with the most free memory.
-  int chosen = -1;
-  for (const auto& [id, c] : containers_) {
-    if (!c->reclaimed && c->function == function &&
-        nodes_[c->node].memory_used + memory <= config_.invoker_memory_bytes) {
-      chosen = c->node;
-      break;
-    }
-  }
-  if (chosen < 0) {
-    uint64_t best_free = 0;
-    for (const auto& node : nodes_) {
-      uint64_t free = config_.invoker_memory_bytes > node.memory_used
-                          ? config_.invoker_memory_bytes - node.memory_used
-                          : 0;
-      if (free >= memory && free > best_free) {
-        best_free = free;
-        chosen = node.id;
-      }
-    }
-  }
+  std::vector<uint64_t> used;
+  used.reserve(nodes_.size());
+  for (const Node& node : nodes_) used.push_back(node.memory_used);
+  const int chosen = policy::ChooseNode(state.placement_hint, used,
+                                        config_.invoker_memory_bytes, memory);
   if (chosen < 0) return nullptr;  // cluster saturated
+  state.placement_hint = chosen;
 
   Node& node = nodes_[chosen];
   node.memory_used += memory;
@@ -113,6 +99,7 @@ ClusterSim::Container* ClusterSim::CreateContainer(const std::string& function) 
   auto container = std::make_unique<Container>();
   Container* raw = container.get();
   raw->id = next_container_id_++;
+  raw->ordinal = state.containers_created++;
   raw->node = chosen;
   raw->function = function;
   raw->memory_bytes = memory;
@@ -141,29 +128,82 @@ ClusterSim::Container* ClusterSim::CreateContainer(const std::string& function) 
   return raw;
 }
 
-ClusterSim::Container* ClusterSim::FindOrCreateContainer(
-    const PendingRequest& request) {
-  const SimFunction& fn = FunctionSpec(request.function);
-  Container* best = nullptr;
-  int best_score = -1;
-  for (auto& [id, c] : containers_) {
-    if (c->reclaimed || c->function != request.function) continue;
-    bool has_free_slot = false;
-    for (const auto& slot : c->slots) has_free_slot |= !slot.busy;
-    if (!has_free_slot) continue;
-    // Prefer hot containers: model loaded + same user's key cached.
-    int score = 1;
-    if (c->loaded_model == request.model_id) score += 2;
-    if (c->cached_key == request.model_id + "|" + request.user_id) score += 1;
-    if (queue_.now() >= c->ready_at) score += 1;  // already warm, not starting
-    if (score > best_score) {
-      best_score = score;
-      best = c.get();
-    }
+ClusterSim::Grant ClusterSim::Acquire(const std::string& function,
+                                      const std::string& model_id,
+                                      const std::string& user_id) {
+  Function& state = FunctionState(function);
+  std::vector<int>& tokens = state.free_tokens;
+  const int pick = policy::ChooseWarmToken([&](int i) -> std::optional<bool> {
+    if (static_cast<size_t>(i) >= tokens.size()) return std::nullopt;
+    return containers_.at(tokens[tokens.size() - 1 - static_cast<size_t>(i)])
+               ->loaded_model == model_id;
+  });
+  Grant grant;
+  Container* c = nullptr;
+  if (pick >= 0) {
+    auto token = tokens.end() - 1 - pick;
+    c = containers_.at(*token).get();
+    tokens.erase(token);
+  } else {
+    c = CreateContainer(function);
+    if (c == nullptr) return grant;
+    grant.created = true;
   }
-  if (best != nullptr) return best;
-  (void)fn;
-  return CreateContainer(request.function);
+  grant.container = c->id;
+  // The lowest free TCS slot, as SemirtInstance::AcquireSlot takes it.
+  grant.slot = static_cast<int>(
+      std::find_if(c->slots.begin(), c->slots.end(),
+                   [](const Slot& slot) { return !slot.busy; }) -
+      c->slots.begin());
+  Slot& slot = c->slots.at(static_cast<size_t>(grant.slot));
+  slot.busy = true;
+  c->last_used = queue_.now();
+
+  const semirt::SemirtOptions& options = state.options;
+  if (policy::RelaunchesEnclave(options, c->fresh)) {
+    grant.relaunch = true;
+    c->fresh = true;
+    c->attested = false;
+    c->cached_key.clear();
+    c->loaded_model.clear();
+    for (Slot& s : c->slots) s.runtime_model.clear();
+  }
+  const std::string key_id = policy::KeyId(model_id, user_id);
+  if (options.mode != RuntimeMode::kUntrusted &&
+      !policy::ReusesKeys(options, c->cached_key, key_id)) {
+    grant.fetch_key = true;
+    grant.attest = !c->attested;
+    c->attested = true;
+    c->cached_key = key_id;
+  }
+  if (!policy::ReusesModel(options, c->loaded_model, model_id)) {
+    grant.load_model = true;
+    c->loaded_model = model_id;
+  }
+  if (!policy::ReusesRuntime(options, slot.runtime_model, model_id)) {
+    grant.init_runtime = true;
+    slot.runtime_model = model_id;
+  }
+  grant.decision = {function, c->ordinal, c->node,
+                    policy::Classify(c->fresh, grant.fetch_key || grant.load_model ||
+                                                   grant.init_runtime)};
+  c->fresh = false;
+  SampleUsage();
+  return grant;
+}
+
+void ClusterSim::Release(int container, int slot) {
+  Container* c = containers_.at(container).get();
+  c->slots.at(static_cast<size_t>(slot)).busy = false;
+  c->last_used = queue_.now();
+  FunctionState(c->function).free_tokens.push_back(c->id);
+}
+
+void ClusterSim::Launched(int container) {
+  Container* c = containers_.at(container).get();
+  std::vector<int>& tokens = FunctionState(c->function).free_tokens;
+  // The cold-starting request holds the first token.
+  tokens.insert(tokens.end(), c->slots.size() - 1, c->id);
 }
 
 void ClusterSim::Submit(const std::string& function, const std::string& model_id,
@@ -171,142 +211,80 @@ void ClusterSim::Submit(const std::string& function, const std::string& model_id
                         CompletionCallback on_complete) {
   PendingRequest request{function, model_id, user_id, t, std::move(on_complete)};
   queue_.ScheduleAt(t, [this, request] {
-    Container* container = FindOrCreateContainer(request);
-    if (container == nullptr) {
-      waiting_[request.function].push_back(request);
-      return;
-    }
-    StartRequest(request, container);
+    if (!TryStart(request)) waiting_[request.function].push_back(request);
   });
 }
 
-void ClusterSim::StartRequest(const PendingRequest& request, Container* container) {
-  const SimFunction& fn = FunctionSpec(request.function);
+bool ClusterSim::TryStart(const PendingRequest& request) {
+  Grant grant = Acquire(request.function, request.model_id, request.user_id);
+  if (grant.container < 0) return false;
+  Container* container = containers_.at(grant.container).get();
+  if (grant.created) {
+    queue_.ScheduleAt(container->ready_at,
+                      [this, id = container->id, function = request.function] {
+                        Launched(id);
+                        DrainQueue(function);
+                      });
+  }
+  StartRequest(request, grant);
+  return true;
+}
+
+void ClusterSim::StartRequest(const PendingRequest& request, const Grant& grant) {
+  Container* container = containers_.at(grant.container).get();
+  const SimFunction& fn = FunctionState(request.function).spec;
   const ModelProfile& profile = config_.cost_model.profile(fn.framework, fn.arch);
   const bool trusted = fn.mode != RuntimeMode::kUntrusted;
-  const bool fresh = container->busy_count == 0 && container->ready_at > request.submit;
+  Node& node = nodes_[container->node];
 
-  // Reserve a slot now.
-  int slot = -1;
-  for (size_t i = 0; i < container->slots.size(); ++i) {
-    if (!container->slots[i].busy) {
-      slot = static_cast<int>(i);
-      break;
-    }
-  }
-  assert(slot >= 0);
-  container->slots[slot].busy = true;
-  container->busy_count++;
-  container->last_used = queue_.now();
-  SampleUsage();
-
-  // ---- Pre-execution stages (key fetch, model load, runtime init) ----
-  // Every invocation pays the platform's controller/proxy overhead; it holds
-  // the container slot but no model CPU.
+  // ---- Pre-execution stages (relaunch, key fetch, model load, runtime
+  // init), as Acquire decided them. Every invocation pays the platform's
+  // controller/proxy overhead; it holds the container slot but no model CPU.
   double pre_s = config_.cost_model.PlatformOverheadSeconds();
-  bool key_fetched = false, model_loaded = false, runtime_inited = false;
-  const std::string key_id = request.model_id + "|" + request.user_id;
   // Per-stage costs tracked alongside pre_s for the virtual-time trace
   // (same semirt.* stage names as the live path, so sim-vs-real traces of
   // one replay are directly comparable).
   const double overhead_s = pre_s;
   double relaunch_s = 0, key_s = 0, model_s = 0, rt_s = 0;
-
-  if (trusted) {
-    if (fn.mode == RuntimeMode::kNative && !fresh) {
-      // Native relaunches the enclave inside the warm sandbox.
-      Node& node = nodes_[container->node];
-      double size_scale = static_cast<double>(container->enclave_bytes) /
-                          static_cast<double>(profile.enclave_bytes);
-      relaunch_s = profile.enclave_init_s * size_scale *
-                   (node.launches_in_progress + 1);
-      pre_s += relaunch_s;
-      container->attested = false;
-      container->cached_key.clear();
-      container->loaded_model.clear();
-      for (auto& s : container->slots) s.runtime_model.clear();
-    }
-    const bool key_cached = !fn.sequential_isolation && container->cached_key == key_id;
-    if (!key_cached) {
-      key_fetched = true;
-      if (!container->attested) {
-        Node& node = nodes_[container->node];
-        node.attestations_in_progress++;
-        // profile.key_fetch_s already contains one uncontended attestation;
-        // add the contention surcharge beyond it.
-        double contention =
-            config_.cost_model.AttestationSeconds(node.attestations_in_progress) -
-            config_.cost_model.AttestationSeconds(1);
-        key_s = profile.key_fetch_s + contention;
-        pre_s += key_s;
-        int node_id = container->node;
-        queue_.ScheduleAfter(SecondsToMicros(pre_s), [this, node_id] {
-          nodes_[node_id].attestations_in_progress--;
-        });
-        container->attested = true;
-      } else {
-        key_s = config_.cost_model.WarmKeyFetchSeconds();
-        pre_s += key_s;
-      }
-      container->cached_key = fn.sequential_isolation ? "" : key_id;
-    }
-    const bool model_cached = container->loaded_model == request.model_id &&
-                              fn.mode == RuntimeMode::kSesemi;
-    if (!model_cached) {
-      model_loaded = true;
-      model_s = profile.model_load_s;
-      if (config_.remote_storage) {
-        model_s += MicrosToSeconds(
-            config_.cost_model.storage_latency().TransferTime(profile.model_bytes));
-      }
-      pre_s += model_s;
-      container->loaded_model = request.model_id;
-      for (auto& s : container->slots) s.runtime_model.clear();
-    }
-    const bool runtime_cached =
-        container->slots[slot].runtime_model == request.model_id &&
-        fn.mode == RuntimeMode::kSesemi && !fn.sequential_isolation;
-    if (!runtime_cached) {
-      runtime_inited = true;
-      rt_s = profile.runtime_init_s;
-      pre_s += rt_s;
-      container->slots[slot].runtime_model = request.model_id;
-    }
-    if (fn.sequential_isolation && !key_fetched && !model_loaded && !runtime_inited) {
-      pre_s += config_.cost_model.SequentialHotSeconds(profile);
-    }
-  } else {
-    // Untrusted baseline: plaintext stages only.
-    const bool model_cached = container->loaded_model == request.model_id;
-    if (!model_cached) {
-      model_loaded = true;
-      model_s = profile.plain_model_load_s;
-      if (config_.remote_storage) {
-        model_s += MicrosToSeconds(
-            config_.cost_model.storage_latency().TransferTime(profile.model_bytes));
-      }
-      pre_s += model_s;
-      container->loaded_model = request.model_id;
-      for (auto& s : container->slots) s.runtime_model.clear();
-    }
-    if (container->slots[slot].runtime_model != request.model_id) {
-      runtime_inited = true;
-      rt_s = profile.plain_runtime_init_s;
-      pre_s += rt_s;
-      container->slots[slot].runtime_model = request.model_id;
-    }
+  if (grant.relaunch) {
+    // Native relaunches the enclave inside the warm sandbox.
+    double size_scale = static_cast<double>(container->enclave_bytes) /
+                        static_cast<double>(profile.enclave_bytes);
+    relaunch_s = profile.enclave_init_s * size_scale * (node.launches_in_progress + 1);
+    pre_s += relaunch_s;
   }
-
-  InvocationKind kind = fresh ? InvocationKind::kCold
-                        : (key_fetched || model_loaded || runtime_inited)
-                            ? InvocationKind::kWarm
-                            : InvocationKind::kHot;
-  if (fn.mode == RuntimeMode::kNative && !fresh) kind = InvocationKind::kCold;
+  if (grant.attest) {
+    node.attestations_in_progress++;
+    // profile.key_fetch_s already contains one uncontended attestation;
+    // add the contention surcharge beyond it.
+    double contention =
+        config_.cost_model.AttestationSeconds(node.attestations_in_progress) -
+        config_.cost_model.AttestationSeconds(1);
+    key_s = profile.key_fetch_s + contention;
+    pre_s += key_s;
+    queue_.ScheduleAfter(SecondsToMicros(pre_s), [this, node_id = node.id] {
+      nodes_[node_id].attestations_in_progress--;
+    });
+  } else if (grant.fetch_key) {
+    key_s = config_.cost_model.WarmKeyFetchSeconds();
+    pre_s += key_s;
+  }
+  if (grant.load_model) {
+    model_s = trusted ? profile.model_load_s : profile.plain_model_load_s;
+    if (config_.remote_storage) {
+      model_s += MicrosToSeconds(
+          config_.cost_model.storage_latency().TransferTime(profile.model_bytes));
+    }
+    pre_s += model_s;
+  }
+  if (grant.init_runtime) {
+    rt_s = trusted ? profile.runtime_init_s : profile.plain_runtime_init_s;
+    pre_s += rt_s;
+  }
 
   // Begin stages when the container is ready.
   TimeMicros begin = std::max(queue_.now(), container->ready_at);
   TimeMicros exec_begin = begin + SecondsToMicros(pre_s);
-  int container_id = container->id;
   PendingRequest req = request;
 
   // Virtual-time trace: pre-execution stage spans laid out sequentially from
@@ -330,12 +308,9 @@ void ClusterSim::StartRequest(const PendingRequest& request, Container* containe
     stage(obs::spans::kRuntimeInit, rt_s);
   }
 
-  queue_.ScheduleAt(exec_begin, [this, req, container_id, slot, kind, trusted,
-                                 trace_root] {
-    auto it = containers_.find(container_id);
-    assert(it != containers_.end());
-    Container* c = it->second.get();
-    const SimFunction& f = FunctionSpec(req.function);
+  queue_.ScheduleAt(exec_begin, [this, req, grant, trusted, trace_root] {
+    Container* c = containers_.at(grant.container).get();
+    const SimFunction& f = FunctionState(req.function).spec;
     const ModelProfile& p = config_.cost_model.profile(f.framework, f.arch);
     Node& node = nodes_[c->node];
     node.runnable++;
@@ -351,25 +326,19 @@ void ClusterSim::StartRequest(const PendingRequest& request, Container* containe
       obs::Tracer::EmitSpan(trace_root, obs::spans::kInference, queue_.now(),
                             queue_.now() + SecondsToMicros(exec_s));
     }
-    queue_.ScheduleAfter(SecondsToMicros(exec_s), [this, req, container_id,
-                                                   slot, kind, trace_root] {
-      auto it2 = containers_.find(container_id);
-      assert(it2 != containers_.end());
-      Container* c2 = it2->second.get();
-      nodes_[c2->node].runnable--;
+    queue_.ScheduleAfter(SecondsToMicros(exec_s), [this, req, grant, trace_root] {
+      nodes_[containers_.at(grant.container)->node].runnable--;
       if (trace_root.valid()) {
         obs::Tracer::EmitRoot(trace_root, obs::spans::kSimRequest, req.submit,
-                              queue_.now(), "node", c2->node);
+                              queue_.now(), "node", grant.decision.node);
       }
-      FinishRequest(req, c2, slot, kind);
+      FinishRequest(req, grant);
     });
   });
 }
 
-void ClusterSim::FinishRequest(const PendingRequest& request, Container* container,
-                               int slot, InvocationKind kind) {
-  container->slots[slot].busy = false;
-  container->last_used = queue_.now();
+void ClusterSim::FinishRequest(const PendingRequest& request, const Grant& grant) {
+  Release(grant.container, grant.slot);
 
   RequestRecord record;
   record.function = request.function;
@@ -377,12 +346,14 @@ void ClusterSim::FinishRequest(const PendingRequest& request, Container* contain
   record.user_id = request.user_id;
   record.submit = request.submit;
   record.complete = queue_.now();
-  record.kind = kind;
+  record.kind = grant.decision.kind;
+  record.container = grant.decision.container;
+  record.node = grant.decision.node;
   if (request.on_complete) request.on_complete(record);
   metrics_.Record(std::move(record));
 
   SampleUsage();
-  ScheduleReclaim(container);
+  ScheduleReclaim(containers_.at(grant.container).get());
   DrainQueue(request.function);
 }
 
@@ -398,8 +369,12 @@ void ClusterSim::ReclaimIfIdle(int container_id) {
   for (const auto& slot : c->slots) {
     if (slot.busy) return;
   }
-  if (queue_.now() - c->last_used < config_.keep_alive) return;
+  if (!policy::KeepAliveExpired(queue_.now(), c->last_used, config_.keep_alive)) {
+    return;
+  }
   c->reclaimed = true;
+  std::vector<int>& tokens = FunctionState(c->function).free_tokens;
+  tokens.erase(std::remove(tokens.begin(), tokens.end(), c->id), tokens.end());
   Node& node = nodes_[c->node];
   node.memory_used -= std::min(node.memory_used, c->memory_bytes);
   node.epc_committed -= std::min(node.epc_committed, c->enclave_bytes);
@@ -409,11 +384,7 @@ void ClusterSim::ReclaimIfIdle(int container_id) {
 void ClusterSim::DrainQueue(const std::string& function) {
   auto it = waiting_.find(function);
   if (it == waiting_.end() || it->second.empty()) return;
-  PendingRequest request = it->second.front();
-  Container* container = FindOrCreateContainer(request);
-  if (container == nullptr) return;
-  it->second.pop_front();
-  StartRequest(request, container);
+  if (TryStart(it->second.front())) it->second.pop_front();
 }
 
 Status ClusterSim::Prewarm(const std::string& function, int count,
@@ -421,6 +392,7 @@ Status ClusterSim::Prewarm(const std::string& function, int count,
   if (functions_.count(function) == 0) {
     return Status::NotFound("unknown function: " + function);
   }
+  std::vector<int>& tokens = FunctionState(function).free_tokens;
   for (int i = 0; i < count; ++i) {
     Container* c = CreateContainer(function);
     if (c == nullptr) {
@@ -428,10 +400,11 @@ Status ClusterSim::Prewarm(const std::string& function, int count,
     }
     c->ready_at = queue_.now();
     c->loaded_model = model_id;
-    c->cached_key = model_id + "|" + user_id;
+    c->cached_key = policy::KeyId(model_id, user_id);
     c->attested = true;
-    c->busy_count = 1;  // not fresh: first request is hot, not cold
+    c->fresh = false;  // first request is hot, not cold
     for (auto& slot : c->slots) slot.runtime_model = model_id;
+    tokens.insert(tokens.end(), c->slots.size(), c->id);
   }
   return Status::OK();
 }

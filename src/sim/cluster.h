@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "serverless/policy.h"
 #include "sim/cost_model.h"
 #include "sim/event_queue.h"
 #include "sim/metrics.h"
@@ -24,8 +25,8 @@ struct SimFunction {
   semirt::RuntimeMode mode = semirt::RuntimeMode::kSesemi;
   int num_tcs = 1;
   bool sequential_isolation = false;  ///< Table II build
-  /// Container memory budget; 0 = derive from the enclave size, rounded up
-  /// to the 128 MB provisioning granularity (Table V).
+  /// Container memory budget; 0 = derive from the enclave size. Rounded up
+  /// to the 128 MB provisioning granularity (policy::ContainerBytes).
   uint64_t container_memory_bytes = 0;
 };
 
@@ -40,9 +41,13 @@ struct SimConfig {
 
 /// Discrete-event simulation of the OpenWhisk-style cluster running SeMIRT
 /// (or a baseline runtime). Reproduces the paper's cluster experiments with
-/// the calibrated cost model; all scheduling policies (warm-container
-/// preference, memory-based placement, keep-alive reclaim, per-enclave key /
-/// model / runtime caching) are the behavioural ones from the live system.
+/// the calibrated cost model. Every decision the live platform makes —
+/// memory-based placement, warm-token choice (LIFO plus model affinity, a
+/// launching container's other tokens available only after launch),
+/// per-enclave key / model / runtime reuse, invocation kind, keep-alive
+/// expiry — comes from serverless/policy.h, the same functions
+/// ServerlessPlatform and SemirtInstance call; the sim adds only virtual
+/// time and costs.
 class ClusterSim {
  public:
   explicit ClusterSim(SimConfig config);
@@ -73,8 +78,33 @@ class ClusterSim {
   int total_containers() const;
   int serving_containers() const;
 
+  /// What one acquisition decided: the container and TCS slot the request
+  /// holds, its policy::Decision, and which pre-execution stages it runs.
+  struct Grant {
+    int container = -1;  ///< sim container id; -1 = no node had room
+    int slot = -1;
+    serverless::policy::Decision decision;
+    bool created = false;   ///< the container was cold-started for it
+    bool relaunch = false;  ///< Native: enclave relaunched first
+    bool fetch_key = false;
+    bool attest = false;    ///< the key fetch opens the KeyService channel
+    bool load_model = false;
+    bool init_runtime = false;
+  };
+
+  /// The policy steps Submit runs when a request starts and ends, public so
+  /// a replay can drive them in an order the live platform recorded
+  /// (cluster::ReplayDecisionsOnSim). Acquire takes a warm token or
+  /// cold-starts a container and applies the stage-reuse rules to its state;
+  /// Release returns the token; Launched publishes a cold-started
+  /// container's other tokens. None of them advances virtual time or
+  /// charges a cost.
+  Grant Acquire(const std::string& function, const std::string& model_id,
+                const std::string& user_id);
+  void Release(int container, int slot);
+  void Launched(int container);
+
  private:
-  struct Container;
   struct Node {
     int id = 0;
     uint64_t memory_used = 0;
@@ -91,18 +121,28 @@ class ClusterSim {
 
   struct Container {
     int id = 0;
+    int ordinal = 0;  ///< creation order within the function
     int node = -1;
     std::string function;
     uint64_t memory_bytes = 0;
     uint64_t enclave_bytes = 0;
     TimeMicros ready_at = 0;
     bool reclaimed = false;
+    bool fresh = true;  ///< no request served since the enclave launched
     TimeMicros last_used = 0;
     std::vector<Slot> slots;
     std::string loaded_model;
-    std::string cached_key;  ///< "model|user" (single-pair key cache)
+    std::string cached_key;  ///< policy::KeyId (single-pair key cache)
     bool attested = false;   ///< KeyService channel established
-    uint64_t busy_count = 0;
+  };
+
+  /// A deployed function and its warm pool.
+  struct Function {
+    SimFunction spec;
+    semirt::SemirtOptions options;  ///< what the policy rules read
+    std::vector<int> free_tokens;   ///< warm freelist of container ids; top = back
+    int placement_hint = -1;
+    int containers_created = 0;
   };
 
   struct PendingRequest {
@@ -113,18 +153,18 @@ class ClusterSim {
     CompletionCallback on_complete;
   };
 
-  const SimFunction& FunctionSpec(const std::string& name) const;
+  Function& FunctionState(const std::string& name);
   uint64_t ContainerMemory(const SimFunction& fn) const;
   uint64_t EnclaveBytes(const SimFunction& fn) const;
 
-  /// Place a request: returns a container with a free slot (possibly freshly
-  /// created, not yet ready), or null if the cluster is saturated (request
-  /// queued).
-  Container* FindOrCreateContainer(const PendingRequest& request);
+  /// Place and launch a container (not yet ready), or null when no node has
+  /// room.
   Container* CreateContainer(const std::string& function);
-  void StartRequest(const PendingRequest& request, Container* container);
-  void FinishRequest(const PendingRequest& request, Container* container, int slot,
-                     semirt::InvocationKind kind);
+  /// Acquire and start `request`; false (request not started) when no node
+  /// has room.
+  bool TryStart(const PendingRequest& request);
+  void StartRequest(const PendingRequest& request, const Grant& grant);
+  void FinishRequest(const PendingRequest& request, const Grant& grant);
   void ScheduleReclaim(Container* container);
   void ReclaimIfIdle(int container_id);
   void DrainQueue(const std::string& function);
@@ -133,7 +173,7 @@ class ClusterSim {
   SimConfig config_;
   EventQueue queue_;
   Metrics metrics_;
-  std::map<std::string, SimFunction> functions_;
+  std::map<std::string, Function> functions_;
   std::vector<Node> nodes_;
   std::map<int, std::unique_ptr<Container>> containers_;
   std::map<std::string, std::deque<PendingRequest>> waiting_;

@@ -17,6 +17,8 @@ struct RequestRecord {
   TimeMicros submit = 0;
   TimeMicros complete = 0;
   semirt::InvocationKind kind = semirt::InvocationKind::kHot;
+  int container = -1;  ///< creation ordinal of the container in its function
+  int node = -1;
 
   TimeMicros latency() const { return complete - submit; }
 };

@@ -1,21 +1,27 @@
 // Differential sim-vs-real validation: one seeded multi-tenant trace is
 // replayed through the real cluster dataplane (cluster/) and through the
-// discrete-event simulator (sim/cluster) running a cost model *calibrated
-// from the real replay's measured stage timings*. The per-function
-// completion counts must match exactly; throughput and mean latency must
-// agree within the documented tolerance band (see BENCHMARKS.md,
-// "Sim-parity tolerance band").
+// discrete-event simulator (sim/cluster). Both make their placement,
+// warm-choice, invocation-kind and keep-alive decisions through the same
+// policy core (serverless/policy.h), so the test checks decisions, not
+// latency:
+//  - per-function completion counts match the trace exactly on both sides;
+//  - each request's decision (function, container ordinal, cold/warm/hot)
+//    is equal element by element, with the simulator driven by the
+//    interleaving the real run recorded — the order of warm-token pops and
+//    pushes that each function's freelist tag numbers
+//    (cluster::ReplayDecisionsOnSim). The node is reported but not
+//    compared: the sim does not model the hash ring.
 //
-// The band is a factor of kToleranceBand (3x) in either direction. It is
-// deliberately wide: the real run pays scheduler queueing, thread wakeup and
-// crypto jitter the simulator folds into its calibrated stage means, and CI
-// runs this under TSan/ASan where everything slows down together —
-// calibration and measurement inflate by the same factor, so the *ratio*
-// stays stable while absolute numbers do not.
+// Nothing here depends on wall-clock timing, so the verdict is the same
+// under `ctest -j` and the sanitizers. The throughput and mean-latency
+// tolerance band (3x, docs/BENCHMARKS.md "Sim-parity tolerance band") is
+// gated by bench_cluster in CI, not here: one wall-clock outlier in a
+// ~50-request mean moves it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,17 +40,9 @@ using client::KeyServiceClient;
 using client::ModelOwner;
 using client::ModelUser;
 
-constexpr double kToleranceBand = 3.0;
 constexpr uint64_t kTraceSeed = 0x7a17;
 constexpr int kTenants = 3;
 constexpr int kNodes = 2;
-
-// Ratio >= 1 between two positive quantities (floored to avoid 0/0).
-double Band(double a, double b) {
-  a = std::max(a, 1e-6);
-  b = std::max(b, 1e-6);
-  return std::max(a / b, b / a);
-}
 
 std::string TenantModel(int tenant) { return "t" + std::to_string(tenant); }
 std::string TenantUser(int tenant) { return "u" + std::to_string(tenant); }
@@ -206,43 +204,53 @@ TEST_F(ClusterSimParityTest, RealAndSimAgreeOnSeededTrace) {
   EXPECT_EQ(real.completions, expected);
   ASSERT_GT(real.mean_hot_total_s, 0.0);
 
-  // --- Calibrate the simulator's cost model from the measured stages. ---
+  auto function_of = [](const workload::Arrival& arrival) {
+    return TenantFunction(TenantOf(arrival));
+  };
+  auto prewarmed_sim = [](const sim::SimConfig& config) {
+    auto sim = std::make_unique<sim::ClusterSim>(config);
+    for (int i = 0; i < kTenants; ++i) {
+      sim::SimFunction fn;
+      fn.name = TenantFunction(i);
+      sim->AddFunction(fn);
+      EXPECT_TRUE(sim->Prewarm(fn.name, 1, TenantModel(i), TenantUser(i)).ok());
+    }
+    return sim;
+  };
+  sim::SimConfig sim_config;
+  sim_config.num_nodes = kNodes;
+
+  // --- The simulator's decisions, in the order the real run recorded. ---
+  SimReplayResult decided =
+      ReplayDecisionsOnSim(prewarmed_sim(sim_config).get(), trace, function_of, real);
+  ASSERT_EQ(decided.submitted, trace.size());
+  ASSERT_EQ(decided.completed, trace.size());
+  EXPECT_EQ(decided.completions, real.completions);
+  EXPECT_EQ(decided.cold_starts, real.cold_starts);
+  ASSERT_EQ(decided.decisions.size(), real.decisions.size());
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const serverless::policy::Decision& r = real.decisions[i];
+    const serverless::policy::Decision& d = decided.decisions[i];
+    EXPECT_EQ(d.function, r.function) << "request " << i;
+    EXPECT_EQ(d.container, r.container) << "request " << i << " of " << r.function;
+    EXPECT_EQ(d.kind, r.kind) << "request " << i << " of " << r.function << ": sim "
+                              << semirt::ToString(d.kind) << ", real "
+                              << semirt::ToString(r.kind);
+  }
+
+  // --- The same trace through the calibrated simulator in virtual time:
+  // every arrival completes, per function. ---
   sim::CalibrationProfile calibration;
   calibration.execute_s = real.mean_hot_total_s;
   calibration.key_fetch_s = real.mean_cold_key_fetch_s;
   calibration.model_load_s = real.mean_cold_model_load_s;
   calibration.runtime_init_s = real.mean_cold_runtime_init_s;
-
-  sim::SimConfig sim_config;
-  sim_config.num_nodes = kNodes;
   sim_config.cost_model = sim::CostModel::Calibrated(calibration);
-  sim::ClusterSim sim(sim_config);
-  for (int i = 0; i < kTenants; ++i) {
-    sim::SimFunction fn;
-    fn.name = TenantFunction(i);
-    sim.AddFunction(fn);
-    ASSERT_TRUE(sim.Prewarm(fn.name, 1, TenantModel(i), TenantUser(i)).ok());
-  }
-
-  // --- Same trace through the simulator (virtual time). ---
   SimReplayResult simulated =
-      ReplayTraceOnSim(&sim, trace, [](const workload::Arrival& arrival) {
-        return TenantFunction(TenantOf(arrival));
-      });
-
-  // Exact completion parity: every submitted arrival completes on both
-  // sides, per function.
+      ReplayTraceOnSim(prewarmed_sim(sim_config).get(), trace, function_of);
   ASSERT_EQ(simulated.submitted, trace.size());
   ASSERT_EQ(simulated.completed, trace.size());
   EXPECT_EQ(simulated.completions, real.completions);
-
-  // Tolerance band on the aggregate behaviour (documented in BENCHMARKS.md).
-  EXPECT_LT(Band(real.throughput_rps, simulated.throughput_rps), kToleranceBand)
-      << "real " << real.throughput_rps << " rps vs sim "
-      << simulated.throughput_rps << " rps";
-  EXPECT_LT(Band(real.mean_latency_s, simulated.mean_latency_s), kToleranceBand)
-      << "real " << real.mean_latency_s << " s vs sim "
-      << simulated.mean_latency_s << " s";
 }
 
 }  // namespace

@@ -117,6 +117,24 @@ TEST_F(ServerlessTest, DuplicateDeployRejected) {
   EXPECT_EQ(platform_->DeployFunction(dup).code(), StatusCode::kAlreadyExists);
 }
 
+TEST_F(ServerlessTest, DeployRejectsTcsCountsNoLaunchCanServe) {
+  // A spec that every cold start would fail must be refused at deploy: a
+  // failing launch arms the platform-wide relaunch gate, which would then
+  // fail cold starts of every other function too.
+  for (uint32_t tcs : {0u, semirt::SemirtInstance::kMaxTcs + 1}) {
+    FunctionSpec bad;
+    bad.name = "bad" + std::to_string(tcs);
+    bad.options.num_tcs = tcs;
+    EXPECT_EQ(platform_->DeployFunction(bad).code(), StatusCode::kInvalidArgument)
+        << "num_tcs " << tcs;
+  }
+  DeployAndAuthorize("predict");
+  bool cold = false;
+  auto result = InvokeOnce("predict", &cold);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(cold);
+}
+
 TEST_F(ServerlessTest, KeepAliveReapsIdleContainers) {
   DeployAndAuthorize("predict");
   ASSERT_TRUE(InvokeOnce("predict").ok());

@@ -392,6 +392,67 @@ TEST(ClusterSimTest, Sgx1EpcPressureSlowsExecution) {
   EXPECT_GT(crowded, solo * 1.5);
 }
 
+// The live platform's rules, as the sim must follow them (serverless/policy.h).
+
+TEST(ClusterSimTest, FreshContainerIsColdEvenWithFreeLaunch) {
+  // A calibrated model can make the launch cost 0; the first request on a
+  // new enclave is still cold, as SemirtInstance classifies it.
+  SimConfig config;
+  config.num_nodes = 1;
+  config.cost_model = CostModel::Calibrated({.execute_s = 0.001});
+  ClusterSim sim(config);
+  sim.AddFunction(TvmMbnetFunction("f", RuntimeMode::kSesemi));
+  sim.Submit("f", "m0", "u0", SecondsToMicros(1));
+  sim.Run();
+  ASSERT_EQ(sim.metrics().records().size(), 1u);
+  EXPECT_EQ(sim.metrics().records()[0].kind, InvocationKind::kCold);
+}
+
+TEST(ClusterSimTest, ArrivalDuringLaunchDoesNotJoinIt) {
+  // A cold-started container's other TCS tokens become warm capacity only
+  // once its launch is done, so a second arrival during the launch starts a
+  // container of its own.
+  SimConfig config;
+  config.num_nodes = 1;
+  ClusterSim sim(config);
+  sim.AddFunction(TvmMbnetFunction("f", RuntimeMode::kSesemi, /*tcs=*/4));
+  sim.Submit("f", "m0", "u0", 0);
+  sim.Submit("f", "m0", "u0", 1000);
+  sim.Run();
+  ASSERT_EQ(sim.metrics().records().size(), 2u);
+  EXPECT_EQ(sim.metrics().CountKind(InvocationKind::kCold), 2);
+  EXPECT_NE(sim.metrics().records()[0].container,
+            sim.metrics().records()[1].container);
+}
+
+TEST(ClusterSimTest, WarmChoiceIsLifoWithBoundedAffinityPeek) {
+  // Containers prewarmed with m0..m3 in that order: m3's token is on top.
+  auto serve = [](const std::string& model) {
+    SimConfig config;
+    config.num_nodes = 1;
+    ClusterSim sim(config);
+    sim.AddFunction(TvmMbnetFunction("f", RuntimeMode::kSesemi));
+    for (const char* prewarmed : {"m0", "m1", "m2", "m3"}) {
+      EXPECT_TRUE(sim.Prewarm("f", 1, prewarmed, "u0").ok());
+    }
+    sim.Submit("f", model, "u0", SecondsToMicros(1));
+    sim.Run();
+    EXPECT_EQ(sim.metrics().records().size(), 1u);
+    return sim.metrics().records().front();
+  };
+  RequestRecord top = serve("m3");
+  EXPECT_EQ(top.container, 3);
+  EXPECT_EQ(top.kind, InvocationKind::kHot);
+  // m1 is the second token below the top: inside the peek.
+  RequestRecord peeked = serve("m1");
+  EXPECT_EQ(peeked.container, 1);
+  EXPECT_EQ(peeked.kind, InvocationKind::kHot);
+  // m0 is beyond the peek: the request takes the top and switches models.
+  RequestRecord beyond = serve("m0");
+  EXPECT_EQ(beyond.container, 3);
+  EXPECT_EQ(beyond.kind, InvocationKind::kWarm);
+}
+
 TEST(CostModelTest, CalibratedModelCarriesMeasuredStages) {
   // The differential harness builds this model from live StageTimings; every
   // (framework, arch) profile must carry the measured values verbatim, with
