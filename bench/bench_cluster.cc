@@ -29,6 +29,7 @@
 #include "cluster/replay.h"
 #include "sim/cluster.h"
 #include "sim/cost_model.h"
+#include "tests/support/decision_replay.h"
 #include "workload/generators.h"
 
 namespace sesemi::bench {
@@ -193,13 +194,11 @@ void ReplayAndParitySections() {
   };
   cluster::SimReplayResult simulated =
       cluster::ReplayTraceOnSim(prewarmed_sim().get(), trace, function_of);
-  cluster::SimReplayResult decided = cluster::ReplayDecisionsOnSim(
+  harness::DecisionReplay decided = harness::ReplayDecisionsOnSim(
       prewarmed_sim().get(), trace, function_of, real);
-  bool decisions_match = decided.decisions.size() == real.decisions.size();
+  bool decisions_match = decided.gap.empty();
   for (size_t i = 0; decisions_match && i < real.decisions.size(); ++i) {
-    decisions_match = decided.decisions[i].function == real.decisions[i].function &&
-                      decided.decisions[i].container == real.decisions[i].container &&
-                      decided.decisions[i].kind == real.decisions[i].kind;
+    decisions_match = harness::SameDecision(decided.decisions[i], real.decisions[i]);
   }
 
   auto band = [](double a, double b) {

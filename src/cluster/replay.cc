@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <future>
-#include <tuple>
 #include <thread>
 
 namespace sesemi::cluster {
@@ -140,63 +139,6 @@ SimReplayResult ReplayTraceOnSim(
       result.makespan_s > 0
           ? static_cast<double>(result.completed) / result.makespan_s
           : 0;
-  return result;
-}
-
-SimReplayResult ReplayDecisionsOnSim(
-    sim::ClusterSim* sim, const std::vector<workload::Arrival>& trace,
-    const std::function<std::string(const workload::Arrival&)>& function_of,
-    const ReplayResult& real) {
-  enum class Step { kAcquire, kLaunch, kRelease };
-  struct Event {
-    std::string function;
-    uint64_t position;
-    int container;  ///< live ordinal: orders cold starts that read one tag
-    size_t request;
-    Step step;
-  };
-  std::vector<Event> events;
-  for (size_t i = 0; i < trace.size() && i < real.orders.size(); ++i) {
-    const serverless::TokenOrder& order = real.orders[i];
-    if (order.acquire == 0) continue;  // never reached a container live
-    const std::string function = function_of(trace[i]);
-    const int container = real.decisions[i].container;
-    events.push_back({function, order.acquire, container, i, Step::kAcquire});
-    if (order.launch != 0) {
-      events.push_back({function, order.launch, container, i, Step::kLaunch});
-    }
-    if (order.release != 0) {
-      events.push_back({function, order.release, container, i, Step::kRelease});
-    }
-  }
-  // Functions one after another: they share only node memory, and the live
-  // cluster gives each node its own memory, so no order between them is
-  // recorded.
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    return std::tie(a.function, a.position, a.container) <
-           std::tie(b.function, b.position, b.container);
-  });
-
-  SimReplayResult result;
-  result.decisions.resize(trace.size());
-  std::vector<sim::ClusterSim::Grant> grants(trace.size());
-  for (const Event& event : events) {
-    const workload::Arrival& arrival = trace[event.request];
-    sim::ClusterSim::Grant& grant = grants[event.request];
-    if (event.step == Step::kAcquire) {
-      grant = sim->Acquire(event.function, arrival.model_id, arrival.user_id);
-      result.submitted++;
-      if (grant.container < 0) continue;
-      result.decisions[event.request] = grant.decision;
-      result.cold_starts += grant.decision.kind == semirt::InvocationKind::kCold;
-    } else if (grant.container >= 0 && event.step == Step::kLaunch) {
-      sim->Launched(grant.container);
-    } else if (grant.container >= 0) {
-      sim->Release(grant.container, grant.slot);
-      result.completed++;
-      result.completions[event.function]++;
-    }
-  }
   return result;
 }
 

@@ -83,9 +83,6 @@ struct SimReplayResult {
   double makespan_s = 0;        ///< first submit -> last completion
   double throughput_rps = 0;    ///< completed / makespan
   size_t cold_starts = 0;       ///< requests classified cold
-  /// Per trace position, as in ReplayResult::decisions (ReplayDecisionsOnSim
-  /// only).
-  std::vector<serverless::policy::Decision> decisions;
 };
 
 /// Replay the same trace through sim::ClusterSim. `function_of` maps an
@@ -95,19 +92,6 @@ struct SimReplayResult {
 SimReplayResult ReplayTraceOnSim(
     sim::ClusterSim* sim, const std::vector<workload::Arrival>& trace,
     const std::function<std::string(const workload::Arrival&)>& function_of);
-
-/// Drive the simulator's policy steps (ClusterSim::Acquire / Launched /
-/// Release) in the order the live replay `real` recorded instead of by
-/// virtual time: per function, every token event is applied in freelist
-/// order. The
-/// decisions then depend on the live interleaving only, not on wall-clock
-/// or simulated latency, so they can be compared with real.decisions
-/// element by element. Latency fields stay 0. Assumes unbatched dispatch
-/// (a coalesced batch shares one token).
-SimReplayResult ReplayDecisionsOnSim(
-    sim::ClusterSim* sim, const std::vector<workload::Arrival>& trace,
-    const std::function<std::string(const workload::Arrival&)>& function_of,
-    const ReplayResult& real);
 
 }  // namespace sesemi::cluster
 

@@ -34,6 +34,7 @@ inline constexpr std::string_view kKeyServiceFetch = "semirt.keyservice.fetch";
 inline constexpr std::string_view kRatlsHandshake = "ratls.handshake";
 inline constexpr std::string_view kStorageGet = "storage.object.get";
 inline constexpr std::string_view kServerlessDispatch = "serverless.dispatch";
+inline constexpr std::string_view kServerlessLaunch = "serverless.launch";
 }  // namespace faults
 
 /// Per-point injection policy.

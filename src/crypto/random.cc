@@ -21,6 +21,16 @@ Bytes DrbgBlock(uint64_t counter, ByteSpan seed) {
   Append(&input, seed);
   return Sha256::HashToBytes(input);
 }
+
+// Fills `out` from the DRBG stream. Caller holds g_mutex.
+void FillFromDrbgLocked(uint8_t* out, size_t n) {
+  for (size_t filled = 0; filled < n;) {
+    Bytes block = DrbgBlock(g_counter++, g_seed_material);
+    const size_t take = std::min(block.size(), n - filled);
+    std::memcpy(out + filled, block.data(), take);
+    filled += take;
+  }
+}
 }  // namespace
 
 void SetDeterministicRandomForTesting(bool enabled, uint64_t seed) {
@@ -36,13 +46,7 @@ void FillRandomBytes(uint8_t* out, size_t n) {
   {
     std::lock_guard<std::mutex> lock(g_mutex);
     if (g_deterministic) {
-      size_t filled = 0;
-      while (filled < n) {
-        Bytes block = DrbgBlock(g_counter++, g_seed_material);
-        size_t take = std::min(block.size(), n - filled);
-        std::memcpy(out + filled, block.data(), take);
-        filled += take;
-      }
+      FillFromDrbgLocked(out, n);
       return;
     }
   }
@@ -58,13 +62,7 @@ void FillRandomBytes(uint8_t* out, size_t n) {
     auto now = std::chrono::high_resolution_clock::now().time_since_epoch().count();
     PutUint64BE(&g_seed_material, static_cast<uint64_t>(now));
   }
-  size_t filled = 0;
-  while (filled < n) {
-    Bytes block = DrbgBlock(g_counter++, g_seed_material);
-    size_t take = std::min(block.size(), n - filled);
-    std::memcpy(out + filled, block.data(), take);
-    filled += take;
-  }
+  FillFromDrbgLocked(out, n);
 }
 
 Bytes RandomBytes(size_t n) {

@@ -107,7 +107,6 @@ class CompiledModel {
   CompiledModel& operator=(const CompiledModel&) = delete;
 
   const model::ModelGraph& graph() const { return graph_; }
-  bool packs_weights() const { return options_.pack_weights; }
   bool quantized() const { return options_.quantize; }
 
   /// Bytes of the pre-packed panel buffers (fp32 panels, plus the int8

@@ -43,9 +43,6 @@ std::string FormatValue(double value) {
 
 }  // namespace
 
-uint64_t Gauge::Encode(double value) { return DoubleBits(value); }
-double Gauge::Decode(uint64_t bits) { return BitsDouble(bits); }
-
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
@@ -114,22 +111,6 @@ Counter* MetricsRegistry::GetCounter(
   return counter;
 }
 
-Gauge* MetricsRegistry::GetGauge(
-    const std::string& name,
-    std::vector<std::pair<std::string, std::string>> labels) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (Instrument* found = FindOrNull(name, labels)) {
-    if (found->gauge != nullptr) return found->gauge.get();
-  }
-  auto instrument = std::make_unique<Instrument>();
-  instrument->name = name;
-  instrument->labels = std::move(labels);
-  instrument->gauge = std::make_unique<Gauge>();
-  Gauge* gauge = instrument->gauge.get();
-  instruments_.push_back(std::move(instrument));
-  return gauge;
-}
-
 Histogram* MetricsRegistry::GetHistogram(
     const std::string& name, std::vector<double> bounds,
     std::vector<std::pair<std::string, std::string>> labels) {
@@ -176,13 +157,6 @@ std::vector<Sample> MetricsRegistry::Snapshot() const {
         sample.labels = instrument->labels;
         sample.value = static_cast<double>(instrument->counter->Value());
         sample.kind = SampleKind::kCounter;
-        samples.push_back(std::move(sample));
-      } else if (instrument->gauge != nullptr) {
-        Sample sample;
-        sample.name = instrument->name;
-        sample.labels = instrument->labels;
-        sample.value = instrument->gauge->Value();
-        sample.kind = SampleKind::kGauge;
         samples.push_back(std::move(sample));
       } else if (instrument->histogram != nullptr) {
         const Histogram& histogram = *instrument->histogram;

@@ -16,8 +16,8 @@ namespace sesemi::obs {
 /// Unified metrics registry (docs/ARCHITECTURE.md "Observability").
 ///
 /// One named, label-aware snapshot surface over every counter the system
-/// keeps. Components either own direct instruments (Counter / Gauge /
-/// Histogram — lock-free atomics on the update path) or register a
+/// keeps. Components either own direct instruments (Counter / Histogram —
+/// lock-free atomics on the update path) or register a
 /// *collector*: a callback that snapshots an existing stats struct
 /// (SchedStats, PlatformStats, RecoveryStats, ClusterStats, RouterStats)
 /// into Samples at scrape time. Collectors mean the hot paths keep their
@@ -46,24 +46,6 @@ class Counter {
 
  private:
   std::atomic<uint64_t> value_{0};
-};
-
-/// Last-write-wins gauge (doubles stored as bit patterns).
-class Gauge {
- public:
-  void Set(double value) { bits_.store(Encode(value), std::memory_order_relaxed); }
-  void Add(double delta) {
-    uint64_t observed = bits_.load(std::memory_order_relaxed);
-    while (!bits_.compare_exchange_weak(observed, Encode(Decode(observed) + delta),
-                                        std::memory_order_relaxed)) {
-    }
-  }
-  double Value() const { return Decode(bits_.load(std::memory_order_relaxed)); }
-
- private:
-  static uint64_t Encode(double value);
-  static double Decode(uint64_t bits);
-  std::atomic<uint64_t> bits_{0};
 };
 
 /// Fixed-bucket histogram: bounds are set once at construction, counts are
@@ -111,8 +93,6 @@ class MetricsRegistry {
   /// Returned pointers live as long as the registry.
   Counter* GetCounter(const std::string& name,
                       std::vector<std::pair<std::string, std::string>> labels = {});
-  Gauge* GetGauge(const std::string& name,
-                  std::vector<std::pair<std::string, std::string>> labels = {});
   Histogram* GetHistogram(const std::string& name, std::vector<double> bounds,
                           std::vector<std::pair<std::string, std::string>> labels = {});
 
@@ -132,7 +112,6 @@ class MetricsRegistry {
     std::string name;
     std::vector<std::pair<std::string, std::string>> labels;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
   Instrument* FindOrNull(const std::string& name,

@@ -74,7 +74,6 @@ thread_local ThreadSlot t_slot;
 thread_local TraceContext t_current;
 
 std::atomic<uint64_t> g_next_id{1};
-std::atomic<Clock*> g_clock{nullptr};
 
 TimeMicros SteadyNowMicros() {
   // One process-wide origin: spans from every component share a time base.
@@ -111,14 +110,7 @@ void Tracer::Disable() {
   trace_internal::g_enabled.store(0, std::memory_order_release);
 }
 
-TimeMicros Tracer::Now() {
-  Clock* clock = g_clock.load(std::memory_order_acquire);
-  return clock != nullptr ? clock->Now() : SteadyNowMicros();
-}
-
-void Tracer::SetClock(Clock* clock) {
-  g_clock.store(clock, std::memory_order_release);
-}
+TimeMicros Tracer::Now() { return SteadyNowMicros(); }
 
 void Tracer::Reset(size_t ring_capacity) {
   Registry& registry = GetRegistry();

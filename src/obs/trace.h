@@ -25,10 +25,10 @@ namespace sesemi::obs {
 /// trace-event JSON (chrome://tracing / Perfetto "X" complete events) or
 /// fold into a per-stage latency rollup.
 ///
-/// Timestamps come from Tracer::Now(): a process-wide steady-clock origin by
-/// default, or an injected Clock (the discrete-event simulator records spans
-/// with explicit virtual timestamps via EmitSpan, so sim and real traces of
-/// one replay share a comparable time base starting near zero).
+/// Timestamps come from Tracer::Now(), a process-wide steady-clock origin
+/// (the discrete-event simulator records spans with explicit virtual
+/// timestamps via EmitSpan, so sim and real traces of one replay share a
+/// comparable time base starting near zero).
 ///
 /// \threadsafety All functions are safe to call concurrently. Each ring has
 /// exactly one writer (its owning thread); snapshot readers synchronize on
@@ -98,15 +98,10 @@ class Tracer {
   static void Enable();
   static void Disable();
 
-  /// Current trace time in microseconds: the injected clock if set, else
-  /// micros since a process-wide steady origin. All span timestamps MUST
-  /// come from here — RealClock instances have per-instance origins and do
-  /// not compose across components.
+  /// Current trace time: micros since a process-wide steady origin. All
+  /// span timestamps MUST come from here — RealClock instances have
+  /// per-instance origins and do not compose across components.
   static TimeMicros Now();
-
-  /// Inject a clock (e.g. the simulator's virtual clock); nullptr restores
-  /// the steady-clock default. The clock must outlive tracing activity.
-  static void SetClock(Clock* clock);
 
   /// Drop all recorded spans and the drop counter, and set the ring capacity
   /// used for threads that record after this call (tests shrink it to probe

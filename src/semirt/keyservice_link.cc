@@ -20,7 +20,6 @@ Status KeyServiceLink::EnsureSession(sgx::Enclave* enclave) {
                           initiator.Finish(reply, expected_));
   session_ = std::move(session);
   session_id_ = session_id;
-  ++attestation_count_;
   return Status::OK();
 }
 

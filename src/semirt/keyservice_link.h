@@ -34,10 +34,6 @@ class KeyServiceLink {
                                             const std::string& user_id,
                                             const std::string& model_id);
 
-  /// Number of mutual attestations performed (1 after the first fetch; the
-  /// paper's warm/hot paths rely on this staying at 1).
-  int attestation_count() const { return attestation_count_; }
-
   /// Drop the cached session and close it on the server. Used on KeyService
   /// restart / network reset, and by the destructor.
   void ResetSession();
@@ -50,7 +46,6 @@ class KeyServiceLink {
   std::mutex mutex_;
   std::optional<ratls::SecureSession> session_;
   uint64_t session_id_ = 0;
-  int attestation_count_ = 0;
 };
 
 }  // namespace sesemi::semirt

@@ -397,6 +397,16 @@ void SemirtInstance::RunPipeline(std::span<const InferenceRequest* const> batch,
             ? RunUntrusted(*batch[live.front()], slot, &results[live.front()],
                            t, deadline)
             : RunTrusted(batch, live, slot, results, t, deadline);
+    if (options_.sequential_mode && options_.mode != RuntimeMode::kUntrusted) {
+      // Strong isolation (§V, Table II): whatever the request's outcome,
+      // return the enclave to a state holding only the loaded model — drop
+      // the slot's runtime and the cached keys.
+      std::lock_guard<std::mutex> lock(mutex_);
+      DropRuntimeLocked(&contexts_[slot]);
+      cached_key_id_.clear();
+      cached_model_key_.clear();
+      cached_request_key_.clear();
+    }
     ReleaseSlot(slot);
     return served;
   }();
@@ -501,14 +511,6 @@ Status SemirtInstance::RunTrusted(std::span<const InferenceRequest* const> batch
 
   std::lock_guard<std::mutex> lock(mutex_);
   t->kind = ClassifyLocked(key_fetched || model_loaded || runtime_inited, served);
-  if (options_.sequential_mode) {
-    // Strong isolation (§V, Table II): return the enclave to a state holding
-    // only the loaded model — drop runtimes and cached keys.
-    DropRuntimeLocked(&contexts_[slot]);
-    cached_key_id_.clear();
-    cached_model_key_.clear();
-    cached_request_key_.clear();
-  }
   return Status::OK();
 }
 

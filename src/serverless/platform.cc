@@ -243,6 +243,65 @@ int ServerlessPlatform::ChooseAndReserveNode(FunctionShard* shard, uint64_t byte
 
 Status ServerlessPlatform::ColdStart(FunctionShard* shard, Lease* lease) {
   obs::Span span(obs::spans::kColdStart);
+  const int spares = static_cast<int>(shard->spec.options.num_tcs) - 1;
+  std::shared_ptr<Launch> launch;
+  {
+    std::unique_lock<std::mutex> lock(shard->mutex);
+    // Launches publish their unclaimed tokens before they finish under this
+    // mutex, so a token this arrival's pop missed is on the freelist now.
+    const uint64_t head = shard->free_head.load(std::memory_order_acquire);
+    if (HeadIndex(head) != kNilSlot) return Status::OK();
+    lease->order.acquire = 2 * uint64_t{HeadTag(head)} + 1;
+    std::vector<int> unclaimed;
+    for (const auto& pending : shard->launches) unclaimed.push_back(pending->unclaimed);
+    const int join = policy::ChooseLaunchToJoin(unclaimed);
+    if (join >= 0) {
+      std::shared_ptr<Launch> joined = shard->launches[static_cast<size_t>(join)];
+      joined->unclaimed--;
+      shard->launched.wait(lock, [&] { return joined->done; });
+      if (!joined->status.ok()) return joined->status;
+      if (joined->claimed.empty()) {
+        return Status::ResourceExhausted("slot directory exhausted for " +
+                                         shard->spec.name);
+      }
+      lease->container = joined->container;
+      lease->slot = joined->claimed.back();
+      joined->claimed.pop_back();
+      return Status::OK();
+    }
+    launch = std::make_shared<Launch>();
+    launch->unclaimed = spares;
+    if (spares > 0) shard->launches.push_back(launch);
+  }
+
+  std::vector<uint32_t> spare;
+  const Status status = LaunchContainer(shard, lease, &spare);
+  {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    launch->status = status;
+    if (status.ok()) {
+      // The claimed tokens go to the joiners, who hold them from now on; the
+      // rest become warm capacity only now that the launch is done.
+      const size_t claimed =
+          std::min(spare.size(), static_cast<size_t>(spares - launch->unclaimed));
+      launch->container = lease->container;
+      launch->claimed.assign(spare.end() - static_cast<std::ptrdiff_t>(claimed),
+                             spare.end());
+      spare.resize(spare.size() - claimed);
+      lease->container->in_flight.fetch_add(static_cast<int>(claimed),
+                                            std::memory_order_acq_rel);
+      for (uint32_t slot : spare) PushWarmSlot(shard, slot, lease->container);
+    }
+    std::erase(shard->launches, launch);
+    launch->done = true;
+  }
+  shard->launched.notify_all();
+  return status;
+}
+
+Status ServerlessPlatform::LaunchContainer(FunctionShard* shard, Lease* lease,
+                                           std::vector<uint32_t>* spare) {
+  SESEMI_FAULT_POINT(faults::kServerlessLaunch);
   const FunctionSpec& spec = shard->spec;
   // Relaunch gate: after enclave *launch* failures, back off instead of
   // hammering a failing platform. Memory admission below is capacity, not
@@ -308,16 +367,13 @@ Status ServerlessPlatform::ColdStart(FunctionShard* shard, Lease* lease) {
     shard->containers.push_back(std::move(container));
   }
 
-  // The caller keeps the first token; the rest become warm capacity only
-  // now that the launch is done.
   lease->container = raw;
   lease->slot = slots.front();
   lease->cold = true;
-  SlotAt(*shard, lease->slot)->container.store(raw, std::memory_order_relaxed);
-  for (size_t i = 1; i < slots.size(); ++i) {
-    const uint32_t tag = PushWarmSlot(shard, slots[i], raw);
-    if (i == 1) lease->order.launch = 2 * uint64_t{tag};
+  for (uint32_t slot : slots) {
+    SlotAt(*shard, slot)->container.store(raw, std::memory_order_relaxed);
   }
+  spare->assign(slots.begin() + 1, slots.end());
 
   cold_starts_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
@@ -335,14 +391,11 @@ Result<ServerlessPlatform::Lease> ServerlessPlatform::AcquireContainer(
   uint32_t popped[kMaxPopped] = {};
   Container* owners[kMaxPopped] = {};
   int popped_count = 0;
-  const int choice = policy::ChooseWarmToken([&](int i) -> std::optional<bool> {
+  auto pop = [&](int i) -> std::optional<bool> {
     for (;;) {
       const uint64_t head = PopWarmSlot(shard);
       const uint32_t index = HeadIndex(head);
-      if (index == kNilSlot) {
-        if (i == 0) lease.order.acquire = 2 * uint64_t{HeadTag(head)} + 1;
-        return std::nullopt;
-      }
+      if (index == kNilSlot) return std::nullopt;
       Container* container =
           SlotAt(*shard, index)->container.load(std::memory_order_relaxed);
       if (container->poisoned.load(std::memory_order_acquire)) {
@@ -357,16 +410,20 @@ Result<ServerlessPlatform::Lease> ServerlessPlatform::AcquireContainer(
       popped_count = i + 1;
       return container->instance->loaded_model_id() == model_id;
     }
-  });
-  if (choice >= 0) {
+  };
+  // ColdStart leaves the lease empty when a token came back meanwhile.
+  while (lease.container == nullptr) {
+    const int choice = policy::ChooseWarmToken(pop);
+    if (choice < 0) {
+      SESEMI_RETURN_IF_ERROR(ColdStart(shard, &lease));
+      continue;
+    }
     lease.container = owners[choice];
     lease.slot = popped[choice];
     for (int i = popped_count - 1; i >= 0; --i) {
       if (i != choice && owners[i] != nullptr) PushWarmSlot(shard, popped[i], owners[i]);
     }
     lease.container->in_flight.fetch_add(1, std::memory_order_acq_rel);
-  } else {
-    SESEMI_RETURN_IF_ERROR(ColdStart(shard, &lease));
   }
   span.set_arg("cold", lease.cold ? 1 : 0);
   return lease;
@@ -1011,7 +1068,6 @@ PlatformStats ServerlessPlatform::stats() const {
   stats.relaunches = relaunches_.load(std::memory_order_relaxed);
   stats.retries = retries_.load(std::memory_order_relaxed);
   stats.deadline_cuts = deadline_cuts_.load(std::memory_order_relaxed);
-  stats.breaker_opens = router_ != nullptr ? router_->breaker_opens() : 0;
   return stats;
 }
 
@@ -1077,9 +1133,6 @@ void ServerlessPlatform::RegisterMetrics(
         samples.push_back(obs::MakeCounterSample(
             "sesemi_platform_reaped_containers_total", p.reaped_containers,
             labels));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_platform_breaker_opens_total",
-            static_cast<double>(p.breaker_opens), labels));
 
         const RecoveryStats r = recovery_stats();
         samples.push_back(obs::MakeCounterSample(

@@ -88,7 +88,6 @@ struct PlatformStats {
   uint64_t enclave_failures = 0;  ///< enclaves poisoned by a faulting ecall
   uint64_t relaunches = 0;        ///< successful cold starts after a poisoning
   uint64_t retries = 0;           ///< idempotent-stage retry attempts
-  uint64_t breaker_opens = 0;     ///< from the attached router, if any
   uint64_t deadline_cuts = 0;     ///< invocations cut at execution time
 };
 
@@ -97,10 +96,9 @@ struct PlatformStats {
 /// number those events: a position is 2 x the tag an event produced, or
 /// 2 x tag + 1 for a cold start that found the list empty at that tag (it
 /// falls between two events). 0 = no such event. The differential harness
-/// drives the simulator in this order (cluster::ReplayDecisionsOnSim).
+/// drives the simulator in this order (tests/support/decision_replay.h).
 struct TokenOrder {
   uint64_t acquire = 0;  ///< the pop that granted the token, or the empty read
-  uint64_t launch = 0;   ///< cold start: the push publishing the other tokens
   uint64_t release = 0;  ///< the push that returned the token
 };
 
@@ -173,7 +171,9 @@ struct InvokeOptions {
 ///    and the expensive SemirtInstance launch runs outside every lock, so
 ///    cold starts of different functions proceed in parallel;
 ///  - a shard mutex serializes only the rare paths: container creation,
-///    reaping, and inspection.
+///    reaping, and inspection. An arrival that finds the freelist empty
+///    while a launch has a spare token waits for that launch instead of
+///    starting another.
 ///
 /// \threadsafety All public methods are safe to call concurrently.
 class ServerlessPlatform {
@@ -256,11 +256,6 @@ class ServerlessPlatform {
   /// backoffs, shutdown drops — the full breakdown behind stats()).
   RecoveryStats recovery_stats() const;
 
-  /// Attach a request router so its breaker transitions surface through
-  /// stats().breaker_opens. Call before traffic; the platform does not take
-  /// ownership and the router must outlive it.
-  void AttachRouter(fnpacker::RequestRouter* router) { router_ = router; }
-
   /// Re-home this platform's counters (PlatformStats, RecoveryStats,
   /// SchedStats) into `registry` as a scrape-time collector under
   /// `sesemi_platform_*` / `sesemi_sched_*` names. The label (e.g.
@@ -308,6 +303,16 @@ class ServerlessPlatform {
   static constexpr uint32_t kSlotChunk = 64;     ///< slots per storage chunk
   static constexpr uint32_t kMaxChunks = 1024;   ///< 65536 slots per function
 
+  /// A container launch that arrivals finding no warm token join
+  /// (policy::ChooseLaunchToJoin). Guarded by its shard's mutex.
+  struct Launch {
+    int unclaimed = 0;  ///< spare tokens no arrival has claimed yet
+    bool done = false;
+    Status status;      ///< the launch's outcome, once done
+    Container* container = nullptr;
+    std::vector<uint32_t> claimed;  ///< done: the tokens the joiners take
+  };
+
   /// Per-function state. The shard mutex guards only the cold/maintenance
   /// paths; the warm path touches nothing but `free_head` and slot records.
   struct FunctionShard {
@@ -334,6 +339,8 @@ class ServerlessPlatform {
     std::vector<uint32_t> spare_slots;                   ///< guarded by mutex
     uint32_t slot_count = 0;                             ///< guarded by mutex
     int containers_created = 0;                          ///< guarded by mutex
+    std::vector<std::shared_ptr<Launch>> launches;  ///< oldest first; guarded by mutex
+    std::condition_variable launched;               ///< signals a launch is done
   };
 
   /// One execution right on a container: the freelist token held, whether
@@ -369,12 +376,19 @@ class ServerlessPlatform {
   bool TryReserveNodeMemory(int node, uint64_t bytes);
   int ChooseAndReserveNode(FunctionShard* shard, uint64_t bytes);
 
-  /// Cold-start a container for `shard` into `lease`, whose first slot
-  /// token the caller then holds.
+  /// No warm token: join a launch in progress (policy::ChooseLaunchToJoin)
+  /// and wait for it, or cold-start a container. Either way the caller then
+  /// holds one of the container's tokens in `lease`, unless a token came
+  /// back to the freelist meanwhile: then `lease` stays empty and the
+  /// caller pops again.
   Status ColdStart(FunctionShard* shard, Lease* lease);
+  /// Launch and register a container for `shard`: `lease` gets its first
+  /// token, `spare` the others.
+  Status LaunchContainer(FunctionShard* shard, Lease* lease,
+                         std::vector<uint32_t>* spare);
 
   /// Acquire one execution right on a container for `shard` (warm token
-  /// chosen by policy::ChooseWarmToken, else cold start). Pairs with
+  /// chosen by policy::ChooseWarmToken, else ColdStart). Pairs with
   /// ReleaseContainer. Poisoned containers surfacing from the freelist are
   /// quarantined and skipped.
   Result<Lease> AcquireContainer(FunctionShard* shard, const std::string& model_id);
@@ -471,7 +485,6 @@ class ServerlessPlatform {
   std::atomic<uint64_t> deadline_cuts_{0};
   std::atomic<uint64_t> shutdown_drops_{0};
   std::atomic<bool> shutting_down_{false};
-  fnpacker::RequestRouter* router_ = nullptr;  ///< optional breaker surface
 
   /// Request scheduler (admission + fair queues + batcher). Dispatcher tasks
   /// on the fork-join pool pull from it; their count is bounded by

@@ -115,10 +115,6 @@ class RelaunchGate {
   /// gate.
   void OnLaunchSuccess();
 
-  int consecutive_failures() const {
-    return failures_.load(std::memory_order_relaxed);
-  }
-
  private:
   const RecoveryConfig config_;
   JitteredBackoff backoff_;

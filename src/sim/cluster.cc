@@ -145,9 +145,19 @@ ClusterSim::Grant ClusterSim::Acquire(const std::string& function,
     c = containers_.at(*token).get();
     tokens.erase(token);
   } else {
-    c = CreateContainer(function);
-    if (c == nullptr) return grant;
-    grant.created = true;
+    std::vector<int> unclaimed;
+    for (int id : state.launching) unclaimed.push_back(containers_.at(id)->unclaimed);
+    const int join = policy::ChooseLaunchToJoin(unclaimed);
+    if (join >= 0) {
+      c = containers_.at(state.launching[static_cast<size_t>(join)]).get();
+      c->unclaimed--;  // the request's stages start when the launch is ready
+    } else {
+      c = CreateContainer(function);
+      if (c == nullptr) return grant;
+      grant.created = true;
+      c->unclaimed = static_cast<int>(c->slots.size()) - 1;
+      if (c->unclaimed > 0) state.launching.push_back(c->id);
+    }
   }
   grant.container = c->id;
   // The lowest free TCS slot, as SemirtInstance::AcquireSlot takes it.
@@ -201,9 +211,12 @@ void ClusterSim::Release(int container, int slot) {
 
 void ClusterSim::Launched(int container) {
   Container* c = containers_.at(container).get();
-  std::vector<int>& tokens = FunctionState(c->function).free_tokens;
-  // The cold-starting request holds the first token.
-  tokens.insert(tokens.end(), c->slots.size() - 1, c->id);
+  Function& state = FunctionState(c->function);
+  std::erase(state.launching, c->id);
+  // The cold-starting request and the arrivals that joined the launch hold
+  // the other tokens.
+  state.free_tokens.insert(state.free_tokens.end(), c->unclaimed, c->id);
+  c->unclaimed = 0;
 }
 
 void ClusterSim::Submit(const std::string& function, const std::string& model_id,
@@ -383,8 +396,12 @@ void ClusterSim::ReclaimIfIdle(int container_id) {
 
 void ClusterSim::DrainQueue(const std::string& function) {
   auto it = waiting_.find(function);
-  if (it == waiting_.end() || it->second.empty()) return;
-  if (TryStart(it->second.front())) it->second.pop_front();
+  if (it == waiting_.end()) return;
+  // One event can free several tokens (a launch publishes every spare token
+  // no arrival claimed), so start waiting requests in FIFO order until one
+  // cannot start.
+  std::deque<PendingRequest>& queue = it->second;
+  while (!queue.empty() && TryStart(queue.front())) queue.pop_front();
 }
 
 Status ClusterSim::Prewarm(const std::string& function, int count,

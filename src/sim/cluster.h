@@ -42,8 +42,8 @@ struct SimConfig {
 /// Discrete-event simulation of the OpenWhisk-style cluster running SeMIRT
 /// (or a baseline runtime). Reproduces the paper's cluster experiments with
 /// the calibrated cost model. Every decision the live platform makes —
-/// memory-based placement, warm-token choice (LIFO plus model affinity, a
-/// launching container's other tokens available only after launch),
+/// memory-based placement, warm-token choice (LIFO plus model affinity,
+/// else joining a launching container that has a spare token),
 /// per-enclave key / model / runtime reuse, invocation kind, keep-alive
 /// expiry — comes from serverless/policy.h, the same functions
 /// ServerlessPlatform and SemirtInstance call; the sim adds only virtual
@@ -94,15 +94,13 @@ class ClusterSim {
 
   /// The policy steps Submit runs when a request starts and ends, public so
   /// a replay can drive them in an order the live platform recorded
-  /// (cluster::ReplayDecisionsOnSim). Acquire takes a warm token or
-  /// cold-starts a container and applies the stage-reuse rules to its state;
-  /// Release returns the token; Launched publishes a cold-started
-  /// container's other tokens. None of them advances virtual time or
-  /// charges a cost.
+  /// (tests/support/decision_replay.h). Acquire takes a warm token, joins a
+  /// launch or cold-starts a container, and applies the stage-reuse rules
+  /// to its state; Release returns the token. Neither advances virtual time
+  /// or charges a cost.
   Grant Acquire(const std::string& function, const std::string& model_id,
                 const std::string& user_id);
   void Release(int container, int slot);
-  void Launched(int container);
 
  private:
   struct Node {
@@ -134,6 +132,7 @@ class ClusterSim {
     std::string loaded_model;
     std::string cached_key;  ///< policy::KeyId (single-pair key cache)
     bool attested = false;   ///< KeyService channel established
+    int unclaimed = 0;       ///< launching: spare tokens no arrival claimed
   };
 
   /// A deployed function and its warm pool.
@@ -141,6 +140,7 @@ class ClusterSim {
     SimFunction spec;
     semirt::SemirtOptions options;  ///< what the policy rules read
     std::vector<int> free_tokens;   ///< warm freelist of container ids; top = back
+    std::vector<int> launching;     ///< containers still launching, oldest first
     int placement_hint = -1;
     int containers_created = 0;
   };
@@ -167,6 +167,8 @@ class ClusterSim {
   void FinishRequest(const PendingRequest& request, const Grant& grant);
   void ScheduleReclaim(Container* container);
   void ReclaimIfIdle(int container_id);
+  /// A launch is ready: publish the spare tokens no arrival joined for.
+  void Launched(int container);
   void DrainQueue(const std::string& function);
   void SampleUsage();
 

@@ -9,8 +9,11 @@
 //    is equal element by element, with the simulator driven by the
 //    interleaving the real run recorded — the order of warm-token pops and
 //    pushes that each function's freelist tag numbers
-//    (cluster::ReplayDecisionsOnSim). The node is reported but not
-//    compared: the sim does not model the hash ring.
+//    (tests/support/decision_replay.h). The node is reported but not
+//    compared: the sim does not model the hash ring. The replay first
+//    checks that the live log accounts for every freelist event, so a
+//    request that retried, peeked or was stolen by another node shows as a
+//    gap, not as a confusing decision mismatch.
 //
 // Nothing here depends on wall-clock timing, so the verdict is the same
 // under `ctest -j` and the sanitizers. The throughput and mean-latency
@@ -31,6 +34,7 @@
 #include "model/zoo.h"
 #include "sim/cluster.h"
 #include "sim/cost_model.h"
+#include "tests/support/decision_replay.h"
 #include "workload/generators.h"
 
 namespace sesemi::cluster {
@@ -221,21 +225,20 @@ TEST_F(ClusterSimParityTest, RealAndSimAgreeOnSeededTrace) {
   sim_config.num_nodes = kNodes;
 
   // --- The simulator's decisions, in the order the real run recorded. ---
-  SimReplayResult decided =
-      ReplayDecisionsOnSim(prewarmed_sim(sim_config).get(), trace, function_of, real);
-  ASSERT_EQ(decided.submitted, trace.size());
-  ASSERT_EQ(decided.completed, trace.size());
+  harness::DecisionReplay decided = harness::ReplayDecisionsOnSim(
+      prewarmed_sim(sim_config).get(), trace, function_of, real);
+  ASSERT_EQ(decided.gap, "");
+  ASSERT_EQ(decided.acquired, trace.size());
+  ASSERT_EQ(decided.released, trace.size());
   EXPECT_EQ(decided.completions, real.completions);
   EXPECT_EQ(decided.cold_starts, real.cold_starts);
-  ASSERT_EQ(decided.decisions.size(), real.decisions.size());
   for (size_t i = 0; i < trace.size(); ++i) {
     const serverless::policy::Decision& r = real.decisions[i];
     const serverless::policy::Decision& d = decided.decisions[i];
-    EXPECT_EQ(d.function, r.function) << "request " << i;
-    EXPECT_EQ(d.container, r.container) << "request " << i << " of " << r.function;
-    EXPECT_EQ(d.kind, r.kind) << "request " << i << " of " << r.function << ": sim "
-                              << semirt::ToString(d.kind) << ", real "
-                              << semirt::ToString(r.kind);
+    EXPECT_TRUE(harness::SameDecision(d, r))
+        << "request " << i << ": sim " << d.function << " container " << d.container
+        << " " << semirt::ToString(d.kind) << ", real " << r.function << " container "
+        << r.container << " " << semirt::ToString(r.kind);
   }
 
   // --- The same trace through the calibrated simulator in virtual time:

@@ -78,6 +78,22 @@ TEST(PolicyTest, WarmChoiceIsLifoTopWithABoundedAffinityPeek) {
   }
 }
 
+TEST(PolicyTest, AnArrivalJoinsTheOldestLaunchWithASpareToken) {
+  const struct {
+    std::vector<int> unclaimed;
+    int join;
+  } cases[] = {
+      {{}, -1},        // nothing launching: cold start
+      {{0}, -1},       // every spare token claimed (or num_tcs 1)
+      {{3}, 0},        // a launch with spare tokens
+      {{0, 0, 2}, 2},  // the oldest launch with a spare token
+      {{1, 3}, 0},     // the oldest, not the one with the most
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(ChooseLaunchToJoin(c.unclaimed), c.join) << c.unclaimed.size();
+  }
+}
+
 semirt::SemirtOptions Options(RuntimeMode mode, bool sequential = false,
                               bool disable_key_cache = false, bool reuse_model = true) {
   semirt::SemirtOptions options;
@@ -98,6 +114,10 @@ TEST(PolicyTest, StageReuseByMode) {
   } cases[] = {
       {"sesemi", Options(RuntimeMode::kSesemi), true, true, true},
       {"sequential", Options(RuntimeMode::kSesemi, true, true), false, true, false},
+      // Keys follow the key cache alone: in sequential mode the per-request
+      // scrub empties the cache, so there is nothing left to reuse.
+      {"sequential, key cache on", Options(RuntimeMode::kSesemi, true), true, true,
+       false},
       {"no key cache", Options(RuntimeMode::kSesemi, false, true), false, true, true},
       {"iso-reuse", Options(RuntimeMode::kIsoReuse), true, false, false},
       {"native", Options(RuntimeMode::kNative), true, false, false},

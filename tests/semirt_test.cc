@@ -265,6 +265,29 @@ TEST_F(SemirtTest, SequentialModeClearsStateEachRequest) {
   EXPECT_EQ(stats.hot_invocations, 0);
 }
 
+TEST_F(SemirtTest, SequentialModeScrubsAfterAFailedRequest) {
+  // The per-request scrub also runs when every entry of a request fails, so
+  // a tampered request leaves neither its keys nor its runtime behind.
+  SemirtOptions options;
+  options.sequential_mode = true;
+  Authorize("m0", options);
+  auto instance = MakeInstance(options);
+  ASSERT_TRUE(instance.ok());
+  ASSERT_TRUE(RunRequest(instance->get(), "m0").ok());
+  const uint64_t scrubbed_heap = (*instance)->enclave()->heap_used();
+
+  auto request = user_->BuildRequest("m0", model::GenerateRandomInput(graphs_["m0"], 2));
+  ASSERT_TRUE(request.ok());
+  request->encrypted_input[request->encrypted_input.size() / 2] ^= 1;
+  EXPECT_FALSE((*instance)->HandleRequest(*request).ok());
+  EXPECT_EQ((*instance)->enclave()->heap_used(), scrubbed_heap);
+
+  ASSERT_TRUE(RunRequest(instance->get(), "m0").ok());
+  SemirtStats stats = instance->get()->stats();
+  EXPECT_EQ(stats.key_fetches, 3);  // no request reused another's keys
+  EXPECT_EQ(stats.runtime_inits, 3);
+}
+
 TEST_F(SemirtTest, IsoReuseReloadsModelEveryRequest) {
   SemirtOptions options;
   options.mode = RuntimeMode::kIsoReuse;

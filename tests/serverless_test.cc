@@ -4,11 +4,13 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <latch>
 #include <map>
 #include <thread>
 #include <vector>
 
 #include "client/clients.h"
+#include "common/faultpoint.h"
 #include "model/zoo.h"
 #include "serverless/platform.h"
 
@@ -133,6 +135,42 @@ TEST_F(ServerlessTest, DeployRejectsTcsCountsNoLaunchCanServe) {
   auto result = InvokeOnce("predict", &cold);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(cold);
+}
+
+TEST_F(ServerlessTest, ConcurrentFirstRequestsShareOneLaunch) {
+  // An arrival that finds no warm token while a container of its function
+  // is launching waits for one of that launch's spare TCS tokens instead of
+  // cold-starting a container of its own (policy::ChooseLaunchToJoin), so
+  // num_tcs concurrent first requests need exactly one container.
+  semirt::SemirtOptions options;
+  options.num_tcs = 4;
+  DeployAndAuthorize("burst", options);
+  const sgx::Measurement es = semirt::SemirtInstance::MeasurementFor(options);
+  std::vector<semirt::InferenceRequest> requests;
+  for (uint32_t i = 0; i < options.num_tcs; ++i) {
+    auto request = user_->BuildRequest("m0", model::GenerateRandomInput(graph_, i), &es);
+    ASSERT_TRUE(request.ok());
+    requests.push_back(*request);
+  }
+  // The first launch stalls, so the other callers arrive while it runs.
+  FaultConfig stall;
+  stall.max_fires = 1;
+  stall.latency_micros = 200'000;
+  stall.error_code = StatusCode::kOk;
+  ScopedFault slow_launch(faults::kServerlessLaunch, stall);
+  std::latch start(static_cast<std::ptrdiff_t>(requests.size()));
+  std::atomic<int> ok{0};
+  std::vector<std::thread> callers;
+  for (const semirt::InferenceRequest& request : requests) {
+    callers.emplace_back([&, &request = request] {
+      start.arrive_and_wait();
+      ok += platform_->Invoke("burst", request).ok() ? 1 : 0;
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(ok.load(), static_cast<int>(requests.size()));
+  EXPECT_EQ(platform_->ContainerCount("burst"), 1);
+  EXPECT_EQ(platform_->stats().cold_starts, 1);
 }
 
 TEST_F(ServerlessTest, KeepAliveReapsIdleContainers) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/cluster.h"
 #include "sim/cost_model.h"
 #include "sim/event_queue.h"
@@ -408,21 +411,68 @@ TEST(ClusterSimTest, FreshContainerIsColdEvenWithFreeLaunch) {
   EXPECT_EQ(sim.metrics().records()[0].kind, InvocationKind::kCold);
 }
 
-TEST(ClusterSimTest, ArrivalDuringLaunchDoesNotJoinIt) {
-  // A cold-started container's other TCS tokens become warm capacity only
-  // once its launch is done, so a second arrival during the launch starts a
-  // container of its own.
+TEST(ClusterSimTest, ArrivalsDuringLaunchJoinItUntilItsTokensAreClaimed) {
+  // An arrival that finds no warm token claims a spare token of the
+  // launching container and starts when the launch is ready; once all
+  // num_tcs - 1 spares are claimed, the next arrival cold-starts its own.
   SimConfig config;
   config.num_nodes = 1;
   ClusterSim sim(config);
   sim.AddFunction(TvmMbnetFunction("f", RuntimeMode::kSesemi, /*tcs=*/4));
-  sim.Submit("f", "m0", "u0", 0);
-  sim.Submit("f", "m0", "u0", 1000);
+  for (int i = 0; i < 5; ++i) sim.Submit("f", "m0", "u0", 1000 * i);
   sim.Run();
-  ASSERT_EQ(sim.metrics().records().size(), 2u);
-  EXPECT_EQ(sim.metrics().CountKind(InvocationKind::kCold), 2);
-  EXPECT_NE(sim.metrics().records()[0].container,
-            sim.metrics().records()[1].container);
+  std::vector<RequestRecord> records = sim.metrics().records();
+  ASSERT_EQ(records.size(), 5u);
+  std::sort(records.begin(), records.end(),
+            [](const RequestRecord& a, const RequestRecord& b) { return a.submit < b.submit; });
+  const int expected_container[] = {0, 0, 0, 0, 1};
+  const InvocationKind expected_kind[] = {InvocationKind::kCold, InvocationKind::kWarm,
+                                          InvocationKind::kWarm, InvocationKind::kWarm,
+                                          InvocationKind::kCold};
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].container, expected_container[i]) << "request " << i;
+    EXPECT_EQ(records[i].kind, expected_kind[i]) << "request " << i;
+  }
+  // The joiners waited for the launch: they finish after the cold request's
+  // launch, not a hot request's latency after arriving.
+  EXPECT_GT(MicrosToSeconds(records[1].latency()), 1.0);
+}
+
+TEST(ClusterSimTest, LaunchStartsEveryQueuedRequestItsTokensServe) {
+  // One node with room for one container. f's first three requests queue
+  // while g's container holds the memory; after g's is reclaimed, a fourth
+  // arrival cold-starts a 4-TCS container, and its launch must start all
+  // three queued requests at once, not one per event.
+  SimConfig config;
+  config.num_nodes = 1;
+  config.invoker_memory_bytes = 256ull << 20;
+  config.keep_alive = SecondsToMicros(0.5);
+  ClusterSim sim(config);
+  SimFunction f = TvmMbnetFunction("f", RuntimeMode::kSesemi, /*tcs=*/4);
+  f.container_memory_bytes = 256ull << 20;
+  SimFunction g = TvmMbnetFunction("g", RuntimeMode::kSesemi);
+  g.container_memory_bytes = 256ull << 20;
+  sim.AddFunction(f);
+  sim.AddFunction(g);
+  ASSERT_TRUE(sim.Prewarm("g", 1, "m0", "u0").ok());
+  sim.Submit("g", "m0", "u0", 0);
+  for (int i = 0; i < 3; ++i) sim.Submit("f", "m0", "u0", SecondsToMicros(0.2));
+  sim.Submit("f", "m0", "u0", SecondsToMicros(1));
+  sim.Run();
+  std::vector<RequestRecord> queued;
+  for (const RequestRecord& record : sim.metrics().records()) {
+    if (record.function == "f" && record.submit == SecondsToMicros(0.2)) {
+      queued.push_back(record);
+    }
+  }
+  ASSERT_EQ(queued.size(), 3u);
+  for (const RequestRecord& record : queued) {
+    EXPECT_EQ(record.container, 0);
+    EXPECT_EQ(record.kind, InvocationKind::kWarm);
+    // Same stages from the same start: they finish together.
+    EXPECT_NEAR(MicrosToSeconds(record.complete), MicrosToSeconds(queued[0].complete),
+                1e-3);
+  }
 }
 
 TEST(ClusterSimTest, WarmChoiceIsLifoWithBoundedAffinityPeek) {
